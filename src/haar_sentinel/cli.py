@@ -78,6 +78,8 @@ class CampaignConfig:
             raise InputError("budget M must be at least 2")
         if self.m_perm < 1 or self.m_u < 1:
             raise InputError("budgets M_perm and M_u must be at least 1")
+        if self.workers < 1:
+            raise InputError("workers must be at least 1")
         if self.ensemble is None:
             if self.samples_path is None:
                 raise InputError("config needs an ensemble spec or a samples file")
@@ -130,7 +132,8 @@ def load_campaign(path: str, workers_override: Optional[int] = None) -> Campaign
             m_perm=int(budgets.get("M_perm", 1)),
             m_u=int(budgets.get("M_u", 1)),
             seed=seed,
-            workers=workers_override or int(d.get("workers", 1)),
+            workers=(workers_override if workers_override is not None
+                     else int(d.get("workers", 1))),
             samples_path=d.get("samples"),
         )
     except InputError:
@@ -172,19 +175,22 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
     budget = _term_budget()
     assignment = (natural_assignment(cfg.ensemble, cfg.spectrum)
                   if cfg.ensemble is not None else None)
+    # The observable tier's request does not depend on t: draw (or read) its
+    # samples once and estimate every order from the same array.
+    if "observable" in cfg.tiers:
+        if cfg.samples_path is not None:
+            samples = load_samples(cfg.samples_path)
+            provenance = {"samples_file": cfg.samples_path}
+        else:
+            samples = generate_expectation_samples(
+                cfg.ensemble, assignment, None, cfg.m_samples,
+                stream=(0, 0), workers=cfg.workers,
+            )
+            provenance = {"seed": cfg.ensemble.seed}
     reports = []
     for t in cfg.orders:
         for tier in cfg.tiers:
             if tier == "observable":
-                if cfg.samples_path is not None:
-                    samples = load_samples(cfg.samples_path)
-                    provenance = {"samples_file": cfg.samples_path}
-                else:
-                    samples = generate_expectation_samples(
-                        cfg.ensemble, assignment, None, cfg.m_samples,
-                        stream=(0, 0), workers=cfg.workers,
-                    )
-                    provenance = {"seed": cfg.ensemble.seed}
                 report = average_randomness(
                     samples, cfg.spectrum, t, cfg.epsilon,
                     provenance=provenance, term_budget=budget,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,13 +141,14 @@ def load_samples(path: str) -> np.ndarray:
     """Read raw expectation-value samples from CSV ("sample" header) or JSON lines."""
     values = []
     with open(path) as fh:
-        first = fh.readline().strip()
-        if first and first != "sample":
-            values.append(float(first))
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                values.append(float(line))
+            if not line or (lineno == 1 and line == "sample"):
+                continue
+            value = float(line)
+            if not isfinite(value):
+                raise ValueError(f"{path}:{lineno}: sample {line!r} is not finite")
+            values.append(value)
     if not values:
         raise ValueError(f"no samples in {path}")
     return np.asarray(values, dtype=float)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from haar_sentinel import cli
 from haar_sentinel.cli import (
     EXIT_INCOMPATIBLE,
     EXIT_INCONCLUSIVE,
@@ -10,9 +11,13 @@ from haar_sentinel.cli import (
     EXIT_OK,
     EXIT_TERM_BUDGET,
     EXIT_UNSUPPORTED_MUB,
+    InputError,
     exit_code_for,
+    load_campaign,
     main,
 )
+from haar_sentinel.ensembles import natural_assignment
+from haar_sentinel.verify import average_randomness
 
 NUMBER_OP_3 = {"eigenvalues": [0, 1, 2, 3], "multiplicities": [1, 3, 3, 1]}
 QUBIT = {"eigenvalues": [0, 1], "multiplicities": [1, 1]}
@@ -217,6 +222,104 @@ def test_verify_samples_file_rejects_extended_tiers(tmp_path):
         "spectrum": QUBIT,
         "samples": str(csv),
         "tiers": ["observable", "permutation"],
+        "t": [1],
+        "epsilon": 0.05,
+        "seed": 1,
+    })
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("config_workers, flag", [(-4, None), (0, None), (2, 0), (2, -1)])
+def test_verify_rejects_worker_counts_below_one(tmp_path, config_workers, flag):
+    cfg = _campaign(tmp_path, tiers=["observable"], workers=config_workers)
+    argv = ["verify", "--config", cfg]
+    if flag is not None:
+        argv += ["--workers", str(flag)]
+    assert main(argv) == EXIT_INPUT
+    with pytest.raises(InputError, match="workers"):
+        load_campaign(cfg, workers_override=flag)
+
+
+def test_verify_workers_flag_overrides_config(tmp_path):
+    cfg = _campaign(tmp_path, tiers=["observable"], workers=-4)
+    assert load_campaign(cfg, workers_override=2).workers == 2
+
+
+def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
+    monkeypatch.delenv("HAAR_SENTINEL_TERM_BUDGET", raising=False)
+    path = _campaign(
+        tmp_path,
+        spectrum=dict(NUMBER_OP_3),
+        ensemble={"kind": "haar", "N": 8, "seed": 41},
+        tiers=["observable"],
+        t=[1, 2, 3, 4],
+        budgets={"M": 20000},
+        workers=2,
+        seed=41,
+    )
+    cfg = load_campaign(path)
+    generate = cli.generate_expectation_samples
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_expectation_samples", counting)
+    reports = cli.run_campaign(cfg)
+    assert len(calls) == 1
+
+    # reference: the per-order loop, drawing the identical request for every t
+    assignment = natural_assignment(cfg.ensemble, cfg.spectrum)
+    reference = [
+        average_randomness(
+            generate(cfg.ensemble, assignment, None, cfg.m_samples,
+                     stream=(0, 0), workers=cfg.workers),
+            cfg.spectrum, t, cfg.epsilon, provenance={"seed": cfg.ensemble.seed},
+        ).to_json_dict()
+        for t in cfg.orders
+    ]
+    assert [r["t"] for r in reports] == [1, 2, 3, 4]
+    assert json.dumps(reports, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def test_samples_file_read_once_per_campaign(tmp_path, monkeypatch):
+    csv = tmp_path / "samples.csv"
+    csv.write_text("sample\n" + "".join(f"{float(v)!r}\n" for v in np.linspace(0.0, 3.0, 200)))
+    path = write_json(tmp_path, "c.json", {
+        "spectrum": NUMBER_OP_3,
+        "samples": str(csv),
+        "tiers": ["observable"],
+        "t": [1, 2, 3],
+        "epsilon": 0.05,
+        "seed": 5,
+    })
+    load = cli.load_samples
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return load(p)
+
+    monkeypatch.setattr(cli, "load_samples", counting)
+    reports = cli.run_campaign(load_campaign(path))
+    assert calls == [str(csv)]
+    assert [r["t"] for r in reports] == [1, 2, 3]
+    assert all(r["provenance"]["samples_file"] == str(csv) for r in reports)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_samples_file_with_non_finite_value_is_bad_input(tmp_path, bad):
+    from haar_sentinel.verify import load_samples
+
+    csv = tmp_path / "samples.csv"
+    csv.write_text(f"sample\n0.5\n{bad}\n0.25\n")
+    with pytest.raises(ValueError, match=r"samples\.csv:3: .* not finite"):
+        load_samples(str(csv))
+    cfg = write_json(tmp_path, "c.json", {
+        "spectrum": QUBIT,
+        "samples": str(csv),
+        "tiers": ["observable"],
         "t": [1],
         "epsilon": 0.05,
         "seed": 1,
