@@ -3,7 +3,6 @@
 Exit codes:
   0  success / all tiers compatible
   2  unreadable or invalid input (JSON, config, flags)
-  3  exact moment exceeded the term budget (moments --mode exact)
   4  no MUB construction for the requested dimension
  10  at least one tier verdict incompatible
  11  at least one tier verdict inconclusive, none incompatible
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
@@ -25,22 +23,14 @@ from numpy.random import Philox
 
 from . import __version__
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
-from .haar_moments import (
-    DEFAULT_TERM_BUDGET,
-    TermBudgetExceededError,
-    exact_moment,
-    moment_bounds,
-)
+from .haar_moments import exact_moment, moment_bounds
 from .mub import MubSet, UnsupportedDimensionError, check_mub, mub_complete_set
 from .spectrum import Spectrum
 from .streams import stream_key, substream_id
 from .verify import average_randomness, load_samples, mub_randomness, permutation_randomness
 
-TERM_BUDGET_ENV = "HAAR_SENTINEL_TERM_BUDGET"
-
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_TERM_BUDGET = 3
 EXIT_UNSUPPORTED_MUB = 4
 EXIT_INCOMPATIBLE = 10
 EXIT_INCONCLUSIVE = 11
@@ -50,6 +40,14 @@ _TIER_TAGS = {"observable": 1, "permutation": 2, "mub": 3}
 
 class InputError(Exception):
     """Anything wrong with user-provided files or flags."""
+
+
+def _check_orders(orders: Sequence[int]) -> None:
+    """Moment orders, from a campaign config or the moments command."""
+    if not orders:
+        raise InputError("no t orders given")
+    if min(orders) < 1:
+        raise InputError(f"t orders must be positive integers, got {min(orders)}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,7 @@ class CampaignConfig:
         for tier in self.tiers:
             if tier not in _TIER_TAGS:
                 raise InputError(f"unknown tier {tier!r}")
-        if not self.orders or any(t < 1 for t in self.orders):
-            raise InputError("t orders must be positive integers")
+        _check_orders(self.orders)
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
         if self.m_samples < 2:
@@ -143,25 +140,18 @@ def load_campaign(path: str, workers_override: Optional[int] = None) -> Campaign
     return cfg
 
 
-def _term_budget() -> int:
-    raw = os.environ.get(TERM_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_TERM_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{TERM_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-
-
 def _parse_orders(expr: str) -> list[int]:
     expr = expr.strip()
     try:
         if ".." in expr:
             lo, hi = expr.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in expr.split(",")]
+            orders = list(range(int(lo), int(hi) + 1))
+        else:
+            orders = [int(tok) for tok in expr.split(",")]
     except ValueError as exc:
         raise InputError(f"cannot parse order list {expr!r} (use '1..4' or '1,2,3')") from exc
+    _check_orders(orders)
+    return orders
 
 
 def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
@@ -172,7 +162,6 @@ def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
 
 
 def run_campaign(cfg: CampaignConfig) -> list[dict]:
-    budget = _term_budget()
     assignment = (natural_assignment(cfg.ensemble, cfg.spectrum)
                   if cfg.ensemble is not None else None)
     # The observable tier's request does not depend on t: draw (or read) its
@@ -193,19 +182,19 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
             if tier == "observable":
                 report = average_randomness(
                     samples, cfg.spectrum, t, cfg.epsilon,
-                    provenance=provenance, term_budget=budget,
+                    provenance=provenance,
                 )
             elif tier == "permutation":
                 report = permutation_randomness(
                     cfg.ensemble, cfg.spectrum, t, cfg.m_perm, cfg.m_samples,
                     cfg.epsilon, _protocol_rng(cfg.seed, tier, t),
-                    workers=cfg.workers, term_budget=budget,
+                    workers=cfg.workers,
                 )
             else:
                 report = mub_randomness(
                     cfg.ensemble, cfg.spectrum, t, cfg.m_u, cfg.m_perm,
                     cfg.m_samples, cfg.epsilon, _protocol_rng(cfg.seed, tier, t),
-                    workers=cfg.workers, term_budget=budget,
+                    workers=cfg.workers,
                 )
             reports.append(report.to_json_dict())
     return reports
@@ -222,15 +211,10 @@ def exit_code_for(verdicts: Sequence[str]) -> int:
 def _cmd_moments(args) -> int:
     s = _load_spectrum(args.spectrum)
     orders = _parse_orders(args.t)
-    budget = _term_budget()
     rows = []
     for t in orders:
         if args.mode == "exact":
-            try:
-                mv = exact_moment(s, t, term_budget=budget)
-            except TermBudgetExceededError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_TERM_BUDGET
+            mv = exact_moment(s, t)
             rows.append({"t": t, "method": "exact", "value": mv.value})
         else:
             b = moment_bounds(s, t)

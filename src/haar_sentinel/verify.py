@@ -32,12 +32,10 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
 from .haar_moments import (
-    TermBudgetExceededError,
     exact_moment,
-    moment_bounds,
+    moment_bounds,  # noqa: F401 -- perfbench/spans.py traces it under this module
     required_samples,
     sampling_error_bound,
-    DEFAULT_TERM_BUDGET,
 )
 from .mub import mub_complete_set
 from .spectrum import Permutation, Spectrum, apply_permutation, trace
@@ -166,21 +164,6 @@ def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
     return MomentEstimate(t=t, mean=mean, variance=variance, m_samples=m)
 
 
-def haar_moment_reference(s: Spectrum, t: int,
-                          term_budget: int = DEFAULT_TERM_BUDGET) -> tuple[float, float, str]:
-    """(mu_t, extra delta slack, method) with bounds-midpoint fallback.
-
-    When the exact sum exceeds the term budget the midpoint of the cheap
-    bounds stands in for mu_t and half the bound width widens the verdict
-    threshold.
-    """
-    try:
-        return exact_moment(s, t, term_budget).value, 0.0, "exact"
-    except TermBudgetExceededError:
-        b = moment_bounds(s, t)
-        return (b.lower + b.upper) / 2.0, (b.upper - b.lower) / 2.0, "bounds_midpoint"
-
-
 def _signed_rms(deviations: np.ndarray) -> float:
     """Root-mean-square magnitude, signed by the mean deviation.
 
@@ -201,24 +184,23 @@ def average_randomness(
     t: int,
     epsilon: float,
     provenance: Optional[dict] = None,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> RandomnessReport:
     """Base-tier report: empirical moment of raw samples vs the closed form."""
     est = estimate_moment(samples, t)
-    mu, slack, method = haar_moment_reference(s, t, term_budget)
-    delta = sampling_error_bound(s, t, est.m_samples) + slack
-    r_value = est.mean - mu
+    mu = exact_moment(s, t)
+    delta = sampling_error_bound(s, t, est.m_samples)
+    r_value = est.mean - mu.value
     prov = {
         "M": est.m_samples,
         "stderr": est.stderr,
-        "mu_method": method,
+        "mu_method": mu.method,
         "required_samples": required_samples(s, t, epsilon),
     }
     if provenance:
         prov.update(provenance)
     return RandomnessReport(
         tier="observable", t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu, verdict=classify(r_value, delta, epsilon), provenance=prov,
+        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
     )
 
 
@@ -232,7 +214,6 @@ def permutation_randomness(
     rng: np.random.Generator,
     permutations: Optional[Sequence[Permutation]] = None,
     workers: int = 1,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> RandomnessReport:
     """Permutation-tier report over m_perm uniformly drawn eigenbasis relabelings.
 
@@ -253,7 +234,7 @@ def permutation_randomness(
         if len(perms) != m_perm:
             raise ValueError("explicit permutation list must have length m_perm")
 
-    mu, slack, method = haar_moment_reference(s, t, term_budget)
+    mu = exact_moment(s, t)
     deviations = []
     per_perm_means = []
     digests = []
@@ -264,22 +245,22 @@ def permutation_randomness(
         )
         est = estimate_moment(values, t)
         per_perm_means.append(est.mean)
-        deviations.append(est.mean - mu)
+        deviations.append(est.mean - mu.value)
         digests.append(_perm_digest(np.asarray(perm.mapping)))
 
-    delta = sampling_error_bound(s, t, m_perm * m_samples) + slack
+    delta = sampling_error_bound(s, t, m_perm * m_samples)
     r_value = _signed_rms(np.asarray(deviations))
     prov = {
         "seed": spec.seed,
         "M": m_samples,
         "M_perm": m_perm,
-        "mu_method": method,
+        "mu_method": mu.method,
         "permutations": digests,
         "per_perm_means": per_perm_means,
     }
     return RandomnessReport(
         tier="permutation", t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu, verdict=classify(r_value, delta, epsilon), provenance=prov,
+        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
     )
 
 
@@ -346,7 +327,6 @@ def mub_randomness(
     epsilon: float,
     rng: np.random.Generator,
     workers: int = 1,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> RandomnessReport:
     """MUB-tier report: permuted observables measured in random unbiased bases.
 
@@ -361,7 +341,7 @@ def mub_randomness(
         raise ValueError("need at least two samples per (basis, permutation)")
     mubs = mub_complete_set(s.dimension)
     base = natural_assignment(spec, s)
-    mu, slack, method = haar_moment_reference(s, t, term_budget)
+    mu = exact_moment(s, t)
 
     basis_indices = [int(b) for b in rng.integers(0, len(mubs), size=m_u)]
     deviations = []
@@ -378,17 +358,17 @@ def mub_randomness(
             )
             est = estimate_moment(values, t)
             per_unit_means.append(est.mean)
-            deviations.append(est.mean - mu)
+            deviations.append(est.mean - mu.value)
             digests.append(_perm_digest(np.asarray(perm.mapping)))
 
-    delta = sampling_error_bound(s, t, m_u * m_perm * m_samples) + slack
+    delta = sampling_error_bound(s, t, m_u * m_perm * m_samples)
     r_value = _signed_rms(np.asarray(deviations))
     prov = {
         "seed": spec.seed,
         "M": m_samples,
         "M_perm": m_perm,
         "M_u": m_u,
-        "mu_method": method,
+        "mu_method": mu.method,
         "basis_indices": basis_indices,
         "basis_labels": [mubs.bases[b].label for b in basis_indices],
         "permutations": digests,
@@ -396,5 +376,5 @@ def mub_randomness(
     }
     return RandomnessReport(
         tier="mub", t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu, verdict=classify(r_value, delta, epsilon), provenance=prov,
+        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
     )

@@ -9,7 +9,6 @@ from haar_sentinel.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
     EXIT_OK,
-    EXIT_TERM_BUDGET,
     EXIT_UNSUPPORTED_MUB,
     InputError,
     exit_code_for,
@@ -17,6 +16,8 @@ from haar_sentinel.cli import (
     main,
 )
 from haar_sentinel.ensembles import natural_assignment
+from haar_sentinel.haar_moments import exact_moment
+from haar_sentinel.spectrum import number_operator
 from haar_sentinel.verify import average_randomness
 
 NUMBER_OP_3 = {"eigenvalues": [0, 1, 2, 3], "multiplicities": [1, 3, 3, 1]}
@@ -68,10 +69,31 @@ def test_moments_malformed_json(tmp_path, capsys):
     assert main(["moments", "--spectrum", str(path)]) == EXIT_INPUT
 
 
-def test_moments_term_budget_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HAAR_SENTINEL_TERM_BUDGET", "2")
+def test_moments_exact_at_large_dimension_and_order(tmp_path, capsys):
+    # number_operator(20) at t=12: a multinomial sum of 141,120,525 terms
+    s = number_operator(20)
+    path = write_json(tmp_path, "s.json", s.to_json_dict())
+    assert main(["moments", "--spectrum", path, "--t", "12"]) == EXIT_OK
+    value = float(capsys.readouterr().out.splitlines()[1].split()[-1])
+    assert value == pytest.approx(exact_moment(s, 12).value, rel=1e-11)
+
+
+def test_moments_overflow_is_bad_input(tmp_path, capsys):
+    path = write_json(tmp_path, "s.json", {"eigenvalues": [1e300], "multiplicities": [2]})
+    assert main(["moments", "--spectrum", path, "--t", "2"]) == EXIT_INPUT
+    assert "order 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders, mode", [
+    ("3..1", "exact"), ("0", "exact"), ("0", "bounds"), ("1,-2", "exact"), ("0..2", "bounds"),
+])
+def test_moments_rejects_orders_below_one(tmp_path, capsys, orders, mode):
     path = write_json(tmp_path, "s.json", NUMBER_OP_3)
-    assert main(["moments", "--spectrum", path, "--t", "4"]) == EXIT_TERM_BUDGET
+    argv = ["moments", "--spectrum", path, "--t", orders, "--mode", mode]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t orders" in captured.err
 
 
 def test_generate_fixed_state_zero_rows(tmp_path):
@@ -246,7 +268,6 @@ def test_verify_workers_flag_overrides_config(tmp_path):
 
 
 def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
-    monkeypatch.delenv("HAAR_SENTINEL_TERM_BUDGET", raising=False)
     path = _campaign(
         tmp_path,
         spectrum=dict(NUMBER_OP_3),

@@ -1,5 +1,6 @@
 import itertools
-from math import comb
+from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from scipy.integrate import quad
 
 from haar_sentinel.ensembles import haar_mass_samples
 from haar_sentinel.haar_moments import (
-    TermBudgetExceededError,
     composition_count,
-    compositions,
     exact_moment,
     haar_variance,
     moment_bounds,
     required_samples,
     sampling_error_bound,
 )
-from haar_sentinel.spectrum import expand, make_spectrum, random_spectrum, trace
+from haar_sentinel.spectrum import (
+    expand,
+    make_spectrum,
+    number_operator,
+    random_spectrum,
+    trace,
+)
 
 QUBIT = make_spectrum((0, 1), (1, 1))
 THREE_QUBIT_COUNTER = make_spectrum((0, 1, 2, 3), (1, 3, 3, 1))
@@ -33,12 +38,37 @@ def brute_force_compositions(t, levels, mask):
     return sorted(out)
 
 
+def rising(a, k):
+    """Pochhammer symbol (a)_k = Gamma(a + k) / Gamma(a), exactly."""
+    return prod((a + i for i in range(k)), start=Fraction(1))
+
+
+def rational_moment(s, t):
+    """Oracle: the multinomial sum over compositions in exact rational arithmetic.
+
+    Every eigenvalue is a double, hence exactly a Fraction; the gamma ratios
+    are rising factorials of half-integers.
+    """
+    lams = [Fraction(lam) for lam in s.eigenvalues]
+    halves = [Fraction(m, 2) for m in s.multiplicities]
+    total = Fraction(0)
+    for k in brute_force_compositions(t, s.levels, (True,) * s.levels):
+        term = Fraction(factorial(t))
+        for lam, a, k_i in zip(lams, halves, k):
+            term *= lam**k_i * rising(a, k_i) / factorial(k_i)
+        total += term
+    return total / rising(Fraction(s.dimension, 2), t)
+
+
 def test_compositions_examples():
-    assert sorted(compositions(2, 2, (True, True))) == [(0, 2), (1, 1), (2, 0)]
-    assert list(compositions(0, 5, (True,) * 5)) == [(0, 0, 0, 0, 0)]
-    masked = list(compositions(3, 3, (True, False, True)))
-    assert len(masked) == 4
-    assert all(k[1] == 0 for k in masked)
+    assert brute_force_compositions(2, 2, (True, True)) == [(0, 2), (1, 1), (2, 0)]
+    assert composition_count(2, 2) == 3
+    assert composition_count(0, 5) == 1
+    assert composition_count(0, 0) == 1
+    assert composition_count(3, 0) == 0
+    masked = brute_force_compositions(3, 3, (True, False, True))
+    assert len(masked) == composition_count(3, 2) == 4
+    assert composition_count(12, 20) == 141_120_525  # number_operator(20) at t=12
 
 
 @settings(max_examples=40, deadline=None)
@@ -47,14 +77,22 @@ def test_compositions_examples():
     st.lists(st.booleans(), min_size=1, max_size=4),
 )
 def test_compositions_match_brute_force(t, mask):
-    got = sorted(compositions(t, len(mask), mask))
-    assert got == brute_force_compositions(t, len(mask), mask)
+    got = brute_force_compositions(t, len(mask), mask)
     assert len(got) == composition_count(t, sum(mask))
 
 
-def test_compositions_mask_length_mismatch():
-    with pytest.raises(ValueError):
-        list(compositions(2, 3, (True, True)))
+def test_exact_moment_matches_rational_oracle():
+    rng = np.random.default_rng(2404)
+    for _ in range(120):
+        g = int(rng.integers(1, 5))
+        lams = sorted({float(Fraction(int(rng.integers(0, 60)), int(rng.integers(1, 12))))
+                       for _ in range(g)})
+        mult = [int(m) for m in rng.integers(1, 200 // len(lams) + 1, size=len(lams))]
+        s = make_spectrum(lams, mult)
+        assert s.dimension <= 200
+        for t in range(1, 7):
+            want = rational_moment(s, t)
+            assert abs(Fraction(exact_moment(s, t).value) - want) <= 1e-12 * want, (s, t)
 
 
 def test_exact_moment_golden_values_against_quadrature():
@@ -147,11 +185,18 @@ def test_haar_variance_values():
     assert haar_variance(QUBIT, 2) == pytest.approx(35 / 128 - (3 / 8) ** 2, abs=1e-14)
 
 
-def test_term_budget_exceeded():
-    s = make_spectrum(tuple(range(1, 9)), (1,) * 8)
-    with pytest.raises(TermBudgetExceededError) as exc:
-        exact_moment(s, 10, term_budget=100)
-    assert exc.value.required == comb(10 + 7, 7)
+def test_exact_moment_fails_only_when_the_value_overflows():
+    # Jensen and the largest eigenvalue bracket every moment:
+    # (Tr O / N)^t <= mu_t <= lambda_max^t.
+    s = number_operator(20)
+    for t in (12, 40, 120):
+        value = exact_moment(s, t).value
+        assert 10.0**t <= value <= 20.0**t
+    # A rank-one projector at N = 2^20 has mu_100 = (1/2)_100 / (2^19)_100,
+    # about exp(-956): it underflows to zero rather than raising.
+    assert exact_moment(make_spectrum((0.0, 1.0), (2**20 - 1, 1)), 100).value == 0.0
+    with pytest.raises(ValueError, match="order 2"):
+        exact_moment(make_spectrum((1e300,), (2,)), 2)
 
 
 def test_required_samples_golden():

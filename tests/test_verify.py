@@ -9,6 +9,7 @@ from haar_sentinel.ensembles import (
     haar_mass_samples,
     natural_assignment,
 )
+from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
 from haar_sentinel.mub import UnsupportedDimensionError
 from haar_sentinel.spectrum import (
     Permutation,
@@ -113,14 +114,13 @@ def test_average_randomness_tiny_sample_has_huge_delta():
     assert report.verdict == "compatible"
 
 
-def test_average_randomness_bounds_fallback_widens_delta():
+def test_average_randomness_reports_exact_moment_without_slack():
     s = make_spectrum(tuple(range(1, 9)), (2,) * 8)
     samples = list(np.linspace(1.0, 8.0, 100))
-    tight = average_randomness(samples, s, 6, epsilon=0.5, term_budget=10)
-    assert tight.provenance["mu_method"] == "bounds_midpoint"
-    loose = average_randomness(samples, s, 6, epsilon=0.5)
-    assert loose.provenance["mu_method"] == "exact"
-    assert tight.delta > loose.delta
+    report = average_randomness(samples, s, 6, epsilon=0.5)
+    assert report.provenance["mu_method"] == "exact"
+    assert report.mu_haar == exact_moment(s, 6).value
+    assert report.delta == sampling_error_bound(s, 6, 100)
 
 
 def test_permutation_identity_reduces_to_average_randomness():
