@@ -16,6 +16,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,8 +70,8 @@ class CampaignConfig:
             if tier not in _TIER_TAGS:
                 raise InputError(f"unknown tier {tier!r}")
         _check_orders(self.orders)
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+        if not (isfinite(self.epsilon) and self.epsilon > 0):
+            raise InputError(f"epsilon must be a finite positive number, got {self.epsilon}")
         if self.m_samples < 2:
             raise InputError("budget M must be at least 2")
         if self.m_perm < 1 or self.m_u < 1:
@@ -288,7 +289,10 @@ def _cmd_mub(args) -> int:
             json.dump(payload, sys.stdout, indent=2)
             print()
         return EXIT_OK
-    mubs = MubSet.from_json_dict(_load_json(args.file))
+    try:
+        mubs = MubSet.from_json_dict(_load_json(args.file))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"invalid MUB set: {exc}") from exc
     worst = 0.0
     for i in range(len(mubs.bases)):
         for j in range(i + 1, len(mubs.bases)):

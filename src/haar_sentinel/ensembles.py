@@ -28,7 +28,15 @@ from typing import Optional
 import numpy as np
 
 from . import streams
-from .spectrum import EigenAssignment, MAX_DIMENSION, Spectrum, number_operator
+from .dirichlet import DirichletParams
+from .spectrum import (
+    EigenAssignment,
+    MAX_DIMENSION,
+    Spectrum,
+    expand,
+    number_operator,
+    number_operator_assignment,
+)
 
 ENSEMBLE_KINDS = ("haar", "counterexample", "fixed_basis_state", "dirichlet_amplitudes")
 
@@ -80,14 +88,14 @@ class EnsembleSpec:
                 raise ValueError(f"counterexample dimension must be 2^{n} = {2**n}")
         elif self.kind == "fixed_basis_state":
             b = self.params.get("basis_index")
-            if b is None or not 0 <= b < self.dimension:
-                raise ValueError("fixed_basis_state needs basis_index in 0..N-1")
+            if not isinstance(b, (int, np.integer)) or not 0 <= b < self.dimension:
+                raise ValueError(f"fixed_basis_state needs an integer basis_index in 0..N-1, "
+                                 f"got {b!r}")
         elif self.kind == "dirichlet_amplitudes":
             alpha = self.params.get("alpha")
             if not alpha or len(alpha) != self.dimension:
                 raise ValueError("dirichlet_amplitudes needs alpha of length N")
-            if any(a <= 0 for a in alpha):
-                raise ValueError("alpha entries must be positive")
+            DirichletParams(tuple(float(a) for a in alpha))  # raises on a bad entry
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind, "N": self.dimension, "seed": self.seed}
@@ -194,8 +202,6 @@ def natural_assignment(spec: EnsembleSpec, s: Spectrum) -> EigenAssignment:
     paired with that layout; every other ensemble kind is basis-symmetric and
     uses the canonical ascending expansion.
     """
-    from .spectrum import expand, number_operator_assignment
-
     if spec.kind == "counterexample":
         n = spec.params["n"]
         if s != number_operator(n):
@@ -264,40 +270,27 @@ def generate_expectation_samples(
 
         return streams.chunked_samples(m_samples, compute, workers)
 
+    # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
     if spec.kind == "counterexample":
-        n = spec.params["n"]
-        support = counterexample_support(n)
-        alphas = counterexample_alphas(n)
-        diag_support = diag[support]
-        if u is None:
-            def compute(s0, c):
-                g = streams.halfint_gamma_matrix(key, s0, c, alphas)
-                return (g / g.sum(axis=1, keepdims=True)) @ diag_support
-        else:
-            uc_support = u.conj()[support, :]  # rows of basis^dagger hitting the support
-
-            def compute(s0, c):
-                g = streams.halfint_gamma_matrix(key, s0, c, alphas)
-                amps = np.sqrt(g / g.sum(axis=1, keepdims=True))
-                rot = amps @ uc_support
-                return (rot.real**2 + rot.imag**2) @ diag
-
-        return streams.chunked_samples(m_samples, compute, workers)
-
-    # dirichlet_amplitudes
-    alpha = tuple(float(x) for x in spec.params["alpha"])
+        support = counterexample_support(spec.params["n"])
+        alpha = counterexample_alphas(spec.params["n"])
+    else:
+        support = slice(None)
+        alpha = tuple(float(x) for x in spec.params["alpha"])
     try:
         streams.halfint_gamma_words(alpha)
         gamma_matrix = streams.halfint_gamma_matrix
     except ValueError:
         gamma_matrix = streams.general_gamma_matrix
+    diag_support = diag[support]
+    uc_support = None if u is None else u.conj()[support, :]  # rows of basis^dagger on the support
 
     def compute(s0, c):
         g = gamma_matrix(key, s0, c, alpha)
         masses = g / g.sum(axis=1, keepdims=True)
         if u is None:
-            return masses @ diag
-        rot = np.sqrt(masses) @ u.conj()
+            return masses @ diag_support
+        rot = np.sqrt(masses) @ uc_support
         return (rot.real**2 + rot.imag**2) @ diag
 
     return streams.chunked_samples(m_samples, compute, workers)

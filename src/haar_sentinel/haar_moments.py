@@ -22,7 +22,7 @@ and sample budgets below are the paper's cheap estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, exp, fsum, lgamma, log
+from math import ceil, comb, exp, fsum, inf, isfinite, lgamma, log
 
 import numpy as np
 
@@ -40,12 +40,12 @@ class MomentValue:
 
     t: int
     value: float
-    method: str  # "exact" | "lower_bound" | "upper_bound"
+    method: str  # always "exact"
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("moments of a non-negative observable are non-negative")
-        if self.method not in ("exact", "lower_bound", "upper_bound"):
+        if self.method != "exact":
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -118,6 +118,23 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
     return MomentValue(t=t, value=value, method="exact")
 
 
+def _in_range(t: int, compute) -> float:
+    """compute(), or ValueError naming the order when it leaves double range."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = inf
+    if not isfinite(value):
+        raise ValueError(f"estimate of order {t} exceeds double-precision range")
+    return value
+
+
+def _estimate_terms(s: Spectrum, t: int) -> tuple[float, float]:
+    """The paper's base (Tr O / N)^t and level factor 1 + (3/8) G / min_m^2."""
+    base = _in_range(t, lambda: (trace(s) / s.dimension) ** t)
+    return base, 1.0 + 0.375 * s.levels / s.min_multiplicity**2
+
+
 def moment_bounds(s: Spectrum, t: int) -> MomentBounds:
     """Cheap two-sided bounds: mu_t in [base, base * (1 + t^2 + (3/8) t^2 G / min_m^2)].
 
@@ -126,12 +143,12 @@ def moment_bounds(s: Spectrum, t: int) -> MomentBounds:
     """
     if t < 1:
         raise ValueError("order must be at least 1")
-    base = (trace(s) / s.dimension) ** t
+    base, _ = _estimate_terms(s, t)
     correction = 1.0 + t * t + 0.375 * t * t * s.levels / s.min_multiplicity**2
     return MomentBounds(
         t=t,
         lower=base,
-        upper=base * correction,
+        upper=_in_range(t, lambda: base * correction),
         base=base,
         lower_slack=LOWER_SLACK_COEFF * t / s.dimension,
     )
@@ -156,12 +173,12 @@ def required_samples(s: Spectrum, t: int, epsilon: float) -> int:
     factor unsquared and constant (4 + (3/2) G / min_m^2); the squared form
     implemented here is the sharper published statement.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a finite positive number, got {epsilon}")
     if t < 1:
         raise ValueError("order must be at least 1")
-    base = (trace(s) / s.dimension) ** t
-    value = (2.0 * t / epsilon * base) ** 2 * (1.0 + 0.375 * s.levels / s.min_multiplicity**2)
+    base, factor = _estimate_terms(s, t)
+    value = _in_range(t, lambda: (2.0 * t / epsilon * base) ** 2 * factor)
     # guard against 1-ulp overshoot turning an exact integer into integer+1
     nearest = round(value)
     if abs(value - nearest) <= 1e-9 * max(1.0, abs(value)):
@@ -179,8 +196,5 @@ def sampling_error_bound(s: Spectrum, t: int, effective_samples: int) -> float:
     """
     if effective_samples < 1:
         raise ValueError("need at least one sample")
-    base = (trace(s) / s.dimension) ** t
-    return (
-        base * 2.0 * t / effective_samples**0.5
-        * (1.0 + 0.375 * s.levels / s.min_multiplicity**2) ** 0.5
-    )
+    base, factor = _estimate_terms(s, t)
+    return _in_range(t, lambda: base * 2.0 * t / effective_samples**0.5 * factor**0.5)

@@ -84,7 +84,7 @@ class MubSet:
             "bases": [
                 {
                     "label": b.label,
-                    "columns": [[[float(z.real), float(z.imag)] for z in col] for col in b.matrix.T],
+                    "columns": np.stack([b.matrix.T.real, b.matrix.T.imag], axis=-1).tolist(),
                 }
                 for b in self.bases
             ],
@@ -92,13 +92,12 @@ class MubSet:
 
     @staticmethod
     def from_json_dict(d: dict) -> "MubSet":
-        bases = []
-        for entry in d["bases"]:
-            cols = np.array(
-                [[complex(re, im) for re, im in col] for col in entry["columns"]]
-            ).T
-            bases.append(MubBasis(matrix=cols, label=entry["label"]))
-        return MubSet(bases=tuple(bases), dimension=int(d["dimension"]))
+        # columns[j][i] = [re, im] of entry i of basis vector j
+        bases = tuple(
+            MubBasis(np.asarray(e["columns"], dtype=float).view(complex)[..., 0].T, e["label"])
+            for e in d["bases"]
+        )
+        return MubSet(bases=bases, dimension=int(d["dimension"]))
 
 
 class MubCheck(NamedTuple):
@@ -129,14 +128,9 @@ def _is_prime(n: int) -> bool:
 
 def _odd_prime_bases(p: int) -> list[np.ndarray]:
     omega = np.exp(2j * np.pi / p)
-    i = np.arange(p)
-    bases = []
-    for r in range(p):
-        phases = np.empty((p, p), dtype=complex)
-        for j in range(p):
-            phases[:, j] = omega ** ((r * i * i + j * i) % p)
-        bases.append(phases / np.sqrt(p))
-    return bases
+    i = np.arange(p)[:, None]
+    j = np.arange(p)[None, :]
+    return [omega ** ((r * i * i + j * i) % p) / np.sqrt(p) for r in range(p)]
 
 
 _N2_TABLES = [

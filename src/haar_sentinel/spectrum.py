@@ -77,64 +77,80 @@ class Spectrum:
         return make_spectrum(d["eigenvalues"], d["multiplicities"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenAssignment:
-    """Length-N map from basis-state index to eigenvalue of a diagonal observable."""
+    """Length-N map from basis-state index to eigenvalue of a diagonal observable.
 
-    values: tuple[float, ...]
+    ``values`` is a read-only float64 array; assignments compare by value.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("empty assignment")
-        if len(self.values) > MAX_DIMENSION:
-            raise ValueError(f"assignment longer than {MAX_DIMENSION}")
-        for v in self.values:
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"assignment value {v} is not a finite non-negative real")
+        v = np.array(self.values, dtype=np.float64)
+        if v.ndim != 1 or not 0 < v.size <= MAX_DIMENSION:
+            raise ValueError(f"assignment must be a non-empty 1-D array of at most "
+                             f"{MAX_DIMENSION} values")
+        bad = ~(np.isfinite(v) & (v >= 0))
+        if bad.any():
+            raise ValueError(f"assignment value {v[bad.argmax()]} is not a finite non-negative real")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+    def __eq__(self, other):
+        return isinstance(other, EigenAssignment) and np.array_equal(self.values, other.values)
 
     @property
     def dimension(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return self.values
 
     def collapse(self) -> Spectrum:
         """Recover the Spectrum whose expansion has this multiset of values."""
-        distinct = sorted(set(self.values))
-        counts = [sum(1 for v in self.values if v == d) for d in distinct]
-        return make_spectrum(distinct, counts)
+        distinct, counts = np.unique(self.values, return_counts=True)
+        return make_spectrum(distinct.tolist(), counts.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """A bijection on basis-state indices 0..N-1."""
+    """A bijection on basis-state indices 0..N-1, as a read-only int64 array."""
 
-    mapping: tuple[int, ...]
+    mapping: np.ndarray
 
     def __post_init__(self):
-        n = len(self.mapping)
-        seen = [False] * n
-        for i in self.mapping:
-            if not 0 <= i < n or seen[i]:
-                raise ValueError("mapping is not a bijection on 0..N-1")
-            seen[i] = True
+        raw = np.asarray(self.mapping)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise ValueError("mapping must be a 1-D array of integer indices")
+        m = raw.astype(np.int64)
+        bad = (m < 0) | (m >= m.size)
+        if not bad.any():
+            bad = np.bincount(m, minlength=m.size)[m] > 1  # repeated entries
+        if bad.any():
+            raise ValueError(f"mapping entry {m[bad.argmax()]} is out of range or repeated: "
+                             "mapping is not a bijection on 0..N-1")
+        m.setflags(write=False)
+        object.__setattr__(self, "mapping", m)
+
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and np.array_equal(self.mapping, other.mapping)
 
     @property
     def dimension(self) -> int:
-        return len(self.mapping)
+        return self.mapping.size
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
+        return Permutation(np.arange(n))
 
     @staticmethod
     def transposition(n: int, i: int, j: int) -> "Permutation":
         if i == j:
             raise ValueError("transposition requires two distinct indices")
-        m = list(range(n))
-        m[i], m[j] = m[j], m[i]
-        return Permutation(tuple(m))
+        m = np.arange(n)
+        m[[i, j]] = m[[j, i]]
+        return Permutation(m)
 
 
 def make_spectrum(eigenvalues: Sequence[float], multiplicities: Sequence[int]) -> Spectrum:
@@ -176,19 +192,16 @@ def number_operator_assignment(n: int) -> EigenAssignment:
     if not 1 <= n <= 20:
         raise ValueError(f"qubit count {n} outside supported range 1..20")
     bits = np.arange(2**n, dtype=np.uint32)
-    pop = np.zeros(2**n, dtype=np.int64)
+    pop = np.zeros(2**n)
     while bits.any():
         pop += bits & 1
         bits >>= 1
-    return EigenAssignment(tuple(float(v) for v in pop))
+    return EigenAssignment(pop)
 
 
 def expand(s: Spectrum) -> EigenAssignment:
     """Canonical assignment: each eigenvalue repeated by multiplicity, ascending."""
-    values = []
-    for lam, m in zip(s.eigenvalues, s.multiplicities):
-        values.extend([lam] * m)
-    return EigenAssignment(tuple(values))
+    return EigenAssignment(np.repeat(s.eigenvalues, s.multiplicities))
 
 
 def apply_permutation(a: EigenAssignment, p: Permutation) -> EigenAssignment:
@@ -199,10 +212,10 @@ def apply_permutation(a: EigenAssignment, p: Permutation) -> EigenAssignment:
     """
     if a.dimension != p.dimension:
         raise ValueError(f"assignment dimension {a.dimension} != permutation dimension {p.dimension}")
-    return EigenAssignment(tuple(a.values[j] for j in p.mapping))
+    return EigenAssignment(a.values[p.mapping])
 
 
-def projector_difference(a: EigenAssignment, i: int, j: int) -> tuple[float, ...]:
+def projector_difference(a: EigenAssignment, i: int, j: int) -> np.ndarray:
     """Diagonal of the observable minus its (i<->j)-transposed conjugate.
 
     When a[i] = 0 and a[j] is the maximal eigenvalue this is the rank-two
@@ -214,7 +227,7 @@ def projector_difference(a: EigenAssignment, i: int, j: int) -> tuple[float, ...
     if i == j:
         raise ValueError("indices must differ")
     swapped = apply_permutation(a, Permutation.transposition(n, i, j))
-    return tuple(x - y for x, y in zip(a.values, swapped.values))
+    return a.values - swapped.values
 
 
 def random_spectrum(rng: np.random.Generator, max_levels: int = 6,

@@ -38,7 +38,7 @@ from .haar_moments import (
     sampling_error_bound,
 )
 from .mub import mub_complete_set
-from .spectrum import Permutation, Spectrum, apply_permutation, trace
+from .spectrum import EigenAssignment, Permutation, Spectrum, apply_permutation, trace
 
 TIERS = ("observable", "permutation", "mub")
 VERDICTS = ("compatible", "incompatible", "inconclusive")
@@ -174,10 +174,6 @@ def _signed_rms(deviations: np.ndarray) -> float:
     return rms if float(np.sum(deviations)) >= 0 else -rms
 
 
-def _perm_digest(mapping: np.ndarray) -> str:
-    return sha256(np.ascontiguousarray(mapping, dtype=np.int64).tobytes()).hexdigest()[:12]
-
-
 def average_randomness(
     samples: Sequence[float],
     s: Spectrum,
@@ -200,6 +196,41 @@ def average_randomness(
         prov.update(provenance)
     return RandomnessReport(
         tier="observable", t=t, R=r_value, delta=delta, epsilon=epsilon,
+        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
+    )
+
+
+def _extended_report(tier: str, spec: EnsembleSpec, s: Spectrum, t: int,
+                     base: EigenAssignment, units: list, m_samples: int, epsilon: float,
+                     workers: int, provenance: dict) -> RandomnessReport:
+    """Report over (stream, basis matrix or None, permutation) units.
+
+    Each unit draws m_samples states from its seed-tree stream and measures
+    the permuted base assignment, rotated into the basis when one is given;
+    R is the signed RMS of the per-unit deviations and delta the resolution
+    of the pooled budget len(units) * m_samples.
+    """
+    mu = exact_moment(s, t)
+    means = []
+    for stream, basis, perm in units:
+        values = generate_expectation_samples(
+            spec, apply_permutation(base, perm), basis, m_samples,
+            stream=stream, workers=workers,
+        )
+        means.append(estimate_moment(values, t).mean)
+    delta = sampling_error_bound(s, t, len(units) * m_samples)
+    r_value = _signed_rms(np.asarray(means) - mu.value)
+    means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
+    prov = {
+        "seed": spec.seed,
+        "M": m_samples,
+        **provenance,
+        "mu_method": mu.method,
+        "permutations": [sha256(p.mapping.tobytes()).hexdigest()[:12] for _, _, p in units],
+        means_key: means,
+    }
+    return RandomnessReport(
+        tier=tier, t=t, R=r_value, delta=delta, epsilon=epsilon,
         mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
     )
 
@@ -227,41 +258,14 @@ def permutation_randomness(
         raise ValueError("need at least two samples per permutation")
     base = natural_assignment(spec, s)
     if permutations is None:
-        perms = [Permutation(tuple(int(x) for x in rng.permutation(base.dimension)))
-                 for _ in range(m_perm)]
+        perms = [Permutation(rng.permutation(base.dimension)) for _ in range(m_perm)]
     else:
         perms = list(permutations)
         if len(perms) != m_perm:
             raise ValueError("explicit permutation list must have length m_perm")
-
-    mu = exact_moment(s, t)
-    deviations = []
-    per_perm_means = []
-    digests = []
-    for p_idx, perm in enumerate(perms):
-        assignment = apply_permutation(base, perm)
-        values = generate_expectation_samples(
-            spec, assignment, None, m_samples, stream=(0, p_idx), workers=workers
-        )
-        est = estimate_moment(values, t)
-        per_perm_means.append(est.mean)
-        deviations.append(est.mean - mu.value)
-        digests.append(_perm_digest(np.asarray(perm.mapping)))
-
-    delta = sampling_error_bound(s, t, m_perm * m_samples)
-    r_value = _signed_rms(np.asarray(deviations))
-    prov = {
-        "seed": spec.seed,
-        "M": m_samples,
-        "M_perm": m_perm,
-        "mu_method": mu.method,
-        "permutations": digests,
-        "per_perm_means": per_perm_means,
-    }
-    return RandomnessReport(
-        tier="permutation", t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
-    )
+    units = [((0, p_idx), None, perm) for p_idx, perm in enumerate(perms)]
+    return _extended_report("permutation", spec, s, t, base, units, m_samples, epsilon,
+                            workers, {"M_perm": m_perm})
 
 
 def permutation_dispersion(
@@ -341,40 +345,15 @@ def mub_randomness(
         raise ValueError("need at least two samples per (basis, permutation)")
     mubs = mub_complete_set(s.dimension)
     base = natural_assignment(spec, s)
-    mu = exact_moment(s, t)
-
     basis_indices = [int(b) for b in rng.integers(0, len(mubs), size=m_u)]
-    deviations = []
-    per_unit_means = []
-    digests = []
-    for u_idx, b_idx in enumerate(basis_indices):
-        basis = mubs.bases[b_idx]
-        for p_idx in range(m_perm):
-            perm = Permutation(tuple(int(x) for x in rng.permutation(base.dimension)))
-            assignment = apply_permutation(base, perm)
-            values = generate_expectation_samples(
-                spec, assignment, basis.matrix, m_samples,
-                stream=(u_idx, p_idx), workers=workers,
-            )
-            est = estimate_moment(values, t)
-            per_unit_means.append(est.mean)
-            deviations.append(est.mean - mu.value)
-            digests.append(_perm_digest(np.asarray(perm.mapping)))
-
-    delta = sampling_error_bound(s, t, m_u * m_perm * m_samples)
-    r_value = _signed_rms(np.asarray(deviations))
-    prov = {
-        "seed": spec.seed,
-        "M": m_samples,
+    units = [
+        ((u_idx, p_idx), mubs.bases[b_idx].matrix, Permutation(rng.permutation(base.dimension)))
+        for u_idx, b_idx in enumerate(basis_indices)
+        for p_idx in range(m_perm)
+    ]
+    return _extended_report("mub", spec, s, t, base, units, m_samples, epsilon, workers, {
         "M_perm": m_perm,
         "M_u": m_u,
-        "mu_method": mu.method,
         "basis_indices": basis_indices,
         "basis_labels": [mubs.bases[b].label for b in basis_indices],
-        "permutations": digests,
-        "per_unit_means": per_unit_means,
-    }
-    return RandomnessReport(
-        tier="mub", t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
-    )
+    })

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -372,3 +373,94 @@ def test_mub_dump_and_check_round_trip(tmp_path, capsys):
 
 def test_mub_dump_unsupported(capsys):
     assert main(["mub", "dump", "-N", "6"]) == EXIT_UNSUPPORTED_MUB
+
+
+# One small campaign per ensemble kind, each through all three tiers.
+PINNED_CAMPAIGNS = {
+    "haar": ({"kind": "haar", "N": 5, "seed": 31},
+             {"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 2]}),
+    "counterexample": ({"kind": "counterexample", "n": 2, "seed": 32},
+                       {"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 1]}),
+    "fixed_basis_state": ({"kind": "fixed_basis_state", "N": 5, "seed": 33,
+                           "params": {"basis_index": 3}},
+                          {"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 2]}),
+    "dirichlet_amplitudes": ({"kind": "dirichlet_amplitudes", "N": 5, "seed": 34,
+                              "params": {"alpha": [0.5, 1.0, 1.5, 0.7, 2.25]}},
+                             {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
+}
+PINNED_SAMPLING_DIGESTS = {
+    "haar": "8f032fa6b4e844b6",
+    "counterexample": "b67d525d97386062",
+    "fixed_basis_state": "a3930a998ecbef3c",
+    "dirichlet_amplitudes": "d27503063846cbc3",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CAMPAIGNS))
+def test_extended_tier_sampling_is_pinned(tmp_path, kind):
+    """Permutations, basis picks and per-unit means repeat their recorded values.
+
+    None of these fields depends on the closed-form moment, so the digests
+    pin the protocol draws and the sampling alone.  Means enter at 13
+    significant digits, which keeps the digest independent of last-bit
+    differences between BLAS builds in the basis rotation.
+    """
+    ensemble, spectrum = PINNED_CAMPAIGNS[kind]
+    cfg = _campaign(tmp_path, spectrum=spectrum, ensemble=ensemble, t=[1, 2],
+                    budgets={"M": 64, "M_perm": 2, "M_u": 2}, seed=ensemble["seed"])
+    picked = []
+    for report in cli.run_campaign(load_campaign(cfg)):
+        fields = {k: report["provenance"][k] for k in
+                  ("per_perm_means", "per_unit_means", "permutations", "basis_indices")
+                  if k in report["provenance"]}
+        for k in ("per_perm_means", "per_unit_means"):
+            if k in fields:
+                fields[k] = [f"{x:.12e}" for x in fields[k]]
+        picked.append(fields)
+    text = json.dumps(picked, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == PINNED_SAMPLING_DIGESTS[kind]
+
+
+def test_moments_bounds_overflow_is_bad_input(tmp_path, capsys):
+    path = write_json(tmp_path, "s.json", {"eigenvalues": [1e300], "multiplicities": [2]})
+    assert main(["moments", "--spectrum", path, "--t", "2", "--mode", "bounds"]) == EXIT_INPUT
+    assert "order 2" in capsys.readouterr().err
+
+
+def test_verify_overflowing_sample_budget_is_bad_input(tmp_path, capsys):
+    cfg = _campaign(tmp_path, spectrum={"eigenvalues": [0, 1e200], "multiplicities": [1, 1]},
+                    ensemble={"kind": "haar", "N": 2, "seed": 5}, tiers=["observable"],
+                    budgets={"M": 100})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    assert "order 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    {"dimension": 2, "bases": [{"label": "computational"}]},
+    {"dimension": 2, "bases": [{"label": "x", "columns": [[1, 0], [0, 1]]}]},
+])
+def test_mub_check_malformed_file_is_bad_input(tmp_path, capsys, payload):
+    path = write_json(tmp_path, "mub.json", payload)
+    assert main(["mub", "check", "--file", path]) == EXIT_INPUT
+    assert "invalid MUB set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_verify_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    cfg = _campaign(tmp_path, tiers=["permutation"], epsilon=epsilon,
+                    budgets={"M": 100, "M_perm": 2})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    assert "epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble, problem", [
+    ({"kind": "fixed_basis_state", "N": 3, "seed": 1, "params": {"basis_index": 0.5}},
+     "basis_index"),
+    ({"kind": "dirichlet_amplitudes", "N": 3, "seed": 1,
+      "params": {"alpha": [1.0, float("nan"), 0.5]}}, "alpha entry nan"),
+])
+def test_verify_rejects_ensemble_params_without_meaning(tmp_path, capsys, ensemble, problem):
+    cfg = _campaign(tmp_path, ensemble=ensemble, tiers=["observable"], budgets={"M": 100})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    assert problem in capsys.readouterr().err

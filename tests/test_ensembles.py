@@ -20,6 +20,8 @@ from haar_sentinel.ensembles import (
 )
 from haar_sentinel.spectrum import (
     EigenAssignment,
+    Permutation,
+    apply_permutation,
     expand,
     make_spectrum,
     number_operator,
@@ -215,3 +217,14 @@ def test_natural_assignment_layouts():
         natural_assignment(ce, make_spectrum((0, 1), (4, 4)))
     haar = EnsembleSpec(kind="haar", dimension=8, seed=0)
     assert natural_assignment(haar, number_operator(3)) == expand(number_operator(3))
+
+
+def test_natural_assignment_round_trips_at_the_qubit_limit():
+    # counterexample n = 20 (N = 2^20), the largest supported campaign
+    n = 20
+    s = number_operator(n)
+    spec = EnsembleSpec(kind="counterexample", dimension=2**n, seed=0, params={"n": n})
+    base = natural_assignment(spec, s)
+    perm = Permutation(np.random.default_rng(20).permutation(base.dimension))
+    assert base.collapse() == s
+    assert apply_permutation(base, perm).collapse() == s

@@ -225,3 +225,22 @@ def test_sampling_error_bound_monotone_in_budget():
     d3 = sampling_error_bound(THREE_QUBIT_COUNTER, 1, 200_000)
     assert d1 > d2 > d3
     assert d1 == pytest.approx(1.5 * 2 * np.sqrt(1 + 0.375 * 4) / 100.0)
+
+
+def test_paper_estimates_fail_only_when_the_value_overflows():
+    huge = make_spectrum((1e300,), (2,))
+    with pytest.raises(ValueError, match="order 2"):
+        moment_bounds(huge, 2)
+    with pytest.raises(ValueError, match="order 2"):
+        sampling_error_bound(huge, 2, 100)
+    # (Tr O / N)^t is in range, its squared budget is not
+    wide = make_spectrum((0.0, 1e200), (1, 1))
+    with pytest.raises(ValueError, match="order 1"):
+        required_samples(wide, 1, 0.05)
+    assert sampling_error_bound(wide, 1, 100) == pytest.approx(5e199 * 2 / 10 * 1.75**0.5)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -0.1])
+def test_required_samples_needs_finite_positive_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        required_samples(THREE_QUBIT_COUNTER, 1, epsilon)

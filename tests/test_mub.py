@@ -86,3 +86,16 @@ def test_json_round_trip_is_lossless():
     for a, b in zip(again.bases, mubs.bases):
         assert a.label == b.label
         assert np.array_equal(a.matrix, b.matrix)
+
+
+@pytest.mark.parametrize("p", [3, 5, 61])
+def test_prime_bases_match_the_entrywise_formula(p):
+    # entry (i, j) of basis r is omega^((r i^2 + j i) mod p) / sqrt(p), one value at a time
+    omega = np.exp(2j * np.pi / p)
+    bases = mub_complete_set(p).bases[1:]
+    for r in (0, 1, p - 1):
+        ref = np.empty((p, p), dtype=complex)
+        for i in range(p):
+            for j in range(p):
+                ref[i, j] = omega ** np.int64((r * i * i + j * i) % p)
+        assert np.array_equal(bases[r].matrix, ref / np.sqrt(p))

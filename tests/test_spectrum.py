@@ -61,7 +61,7 @@ def test_number_operator_binomial_multiplicities():
 
 def test_number_operator_assignment_is_popcount():
     a = number_operator_assignment(3)
-    assert a.values == tuple(float(bin(i).count("1")) for i in range(8))
+    assert a.values.tolist() == [float(bin(i).count("1")) for i in range(8)]
     assert a.collapse() == number_operator(3)
 
 
@@ -91,15 +91,15 @@ def test_trace_examples():
 
 
 def test_expand_examples():
-    assert expand(make_spectrum((0, 1), (1, 1))).values == (0.0, 1.0)
-    assert expand(make_spectrum((0, 1, 2), (1, 2, 1))).values == (0.0, 1.0, 1.0, 2.0)
-    assert expand(make_spectrum((5,), (3,))).values == (5.0, 5.0, 5.0)
+    assert expand(make_spectrum((0, 1), (1, 1))).values.tolist() == [0.0, 1.0]
+    assert expand(make_spectrum((0, 1, 2), (1, 2, 1))).values.tolist() == [0.0, 1.0, 1.0, 2.0]
+    assert expand(make_spectrum((5,), (3,))).values.tolist() == [5.0, 5.0, 5.0]
 
 
 def test_apply_permutation_examples():
     a = EigenAssignment((0.0, 1.0))
-    assert apply_permutation(a, Permutation.identity(2)).values == (0.0, 1.0)
-    assert apply_permutation(a, Permutation.transposition(2, 0, 1)).values == (1.0, 0.0)
+    assert apply_permutation(a, Permutation.identity(2)).values.tolist() == [0.0, 1.0]
+    assert apply_permutation(a, Permutation.transposition(2, 0, 1)).values.tolist() == [1.0, 0.0]
 
 
 def test_apply_permutation_dimension_mismatch():
@@ -142,8 +142,9 @@ def test_expand_collapse_round_trip(seed):
 
 
 def test_projector_difference_examples():
-    assert projector_difference(EigenAssignment((0.0, 1.0)), 0, 1) == (-1.0, 1.0)
-    assert projector_difference(EigenAssignment((0.0, 1.0, 1.0, 2.0)), 0, 3) == (-2.0, 0.0, 0.0, 2.0)
+    assert projector_difference(EigenAssignment((0.0, 1.0)), 0, 1).tolist() == [-1.0, 1.0]
+    assert (projector_difference(EigenAssignment((0.0, 1.0, 1.0, 2.0)), 0, 3).tolist()
+            == [-2.0, 0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         projector_difference(EigenAssignment((0.0, 1.0)), 0, 0)
     with pytest.raises(ValueError):
@@ -162,3 +163,46 @@ def test_projector_difference_extremal_blocks():
 def test_assignment_rejects_negative_values():
     with pytest.raises(ValueError):
         EigenAssignment((0.0, -1.0))
+
+
+def test_assignment_and_permutation_are_read_only_arrays():
+    a = EigenAssignment([0.0, 1.0, 1.0])
+    p = Permutation([2, 0, 1])
+    assert a.values.dtype == np.float64 and p.mapping.dtype == np.int64
+    with pytest.raises(ValueError):
+        a.values[0] = 5.0
+    with pytest.raises(ValueError):
+        p.mapping[0] = 1
+    # stored by copy: the caller's array stays theirs
+    source = np.array([1.0, 2.0])
+    b = EigenAssignment(source)
+    source[0] = 9.0
+    assert b.values.tolist() == [1.0, 2.0]
+
+
+def test_assignment_and_permutation_compare_by_value_and_are_unhashable():
+    assert EigenAssignment((0.0, 1.0)) == EigenAssignment(np.array([0.0, 1.0]))
+    assert EigenAssignment((0.0, 1.0)) != EigenAssignment((1.0, 0.0))
+    assert EigenAssignment((0.0, 1.0)) != EigenAssignment((0.0, 1.0, 1.0))
+    assert Permutation.identity(3) == Permutation((0, 1, 2))
+    assert Permutation.transposition(3, 0, 2) == Permutation((2, 1, 0))
+    assert Permutation.identity(3) != Permutation.identity(4)
+    with pytest.raises(TypeError):
+        hash(EigenAssignment((0.0,)))
+    with pytest.raises(TypeError):
+        hash(Permutation.identity(2))
+
+
+def test_validation_names_the_first_bad_value():
+    with pytest.raises(ValueError, match=r"value -1\.0 "):
+        EigenAssignment((0.0, -1.0, float("nan")))
+    with pytest.raises(ValueError, match="value nan "):
+        EigenAssignment((0.0, float("nan"), -1.0))
+    with pytest.raises(ValueError, match="entry 7 is out of range"):
+        Permutation((0, 7, 1, 5))
+    with pytest.raises(ValueError, match="entry 2 is out of range or repeated"):
+        Permutation((0, 2, 1, 2, 1))
+    with pytest.raises(ValueError, match="integer indices"):
+        Permutation((0.0, 1.0))
+    with pytest.raises(ValueError, match="non-empty"):
+        EigenAssignment(())
