@@ -45,9 +45,9 @@ def main(argv):
             spec, natural_assignment(spec, s), None, m_samples
         )
         obs = average_randomness(samples, s, 1, epsilon)
-        perm = permutation_randomness(
-            spec, s, 1, m_perm, m_samples, epsilon,
-            np.random.default_rng(5000 + trial),
+        [perm] = permutation_randomness(
+            spec, s, [1], m_perm, m_samples, epsilon,
+            [np.random.default_rng(5000 + trial)],
         )
         tallies["observable"] += obs.verdict == "compatible"
         tallies["permutation"] += perm.verdict == "incompatible"

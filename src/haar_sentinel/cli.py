@@ -11,6 +11,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import sys
@@ -162,43 +163,45 @@ def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
     )
 
 
+def _observable_reports(cfg: CampaignConfig) -> list:
+    """Observable-tier reports; the samples are drawn (or read) once for every order."""
+    if cfg.samples_path is not None:
+        samples = load_samples(cfg.samples_path, cfg.spectrum)
+        provenance = {"samples_file": cfg.samples_path}
+    else:
+        samples = generate_expectation_samples(
+            cfg.ensemble, natural_assignment(cfg.ensemble, cfg.spectrum), None,
+            cfg.m_samples, stream=(0, 0), workers=cfg.workers,
+        )
+        provenance = {"seed": cfg.ensemble.seed}
+    return [average_randomness(samples, cfg.spectrum, t, cfg.epsilon, provenance=provenance)
+            for t in cfg.orders]
+
+
 def run_campaign(cfg: CampaignConfig) -> list[dict]:
-    assignment = (natural_assignment(cfg.ensemble, cfg.spectrum)
-                  if cfg.ensemble is not None else None)
-    # The observable tier's request does not depend on t: draw (or read) its
-    # samples once and estimate every order from the same array.
-    if "observable" in cfg.tiers:
-        if cfg.samples_path is not None:
-            samples = load_samples(cfg.samples_path)
-            provenance = {"samples_file": cfg.samples_path}
-        else:
-            samples = generate_expectation_samples(
-                cfg.ensemble, assignment, None, cfg.m_samples,
-                stream=(0, 0), workers=cfg.workers,
+    """Every tier's report at every order, in (t, tier) order.
+
+    No sample request depends on t, so each tier is called once for all
+    orders and draws each of its streams once.
+    """
+    by_tier = {}
+    for tier in cfg.tiers:
+        if tier == "observable":
+            by_tier[tier] = _observable_reports(cfg)
+            continue
+        rngs = [_protocol_rng(cfg.seed, tier, t) for t in cfg.orders]
+        if tier == "permutation":
+            by_tier[tier] = permutation_randomness(
+                cfg.ensemble, cfg.spectrum, cfg.orders, cfg.m_perm, cfg.m_samples,
+                cfg.epsilon, rngs, workers=cfg.workers,
             )
-            provenance = {"seed": cfg.ensemble.seed}
-    reports = []
-    for t in cfg.orders:
-        for tier in cfg.tiers:
-            if tier == "observable":
-                report = average_randomness(
-                    samples, cfg.spectrum, t, cfg.epsilon,
-                    provenance=provenance,
-                )
-            elif tier == "permutation":
-                report = permutation_randomness(
-                    cfg.ensemble, cfg.spectrum, t, cfg.m_perm, cfg.m_samples,
-                    cfg.epsilon, _protocol_rng(cfg.seed, tier, t),
-                    workers=cfg.workers,
-                )
-            else:
-                report = mub_randomness(
-                    cfg.ensemble, cfg.spectrum, t, cfg.m_u, cfg.m_perm,
-                    cfg.m_samples, cfg.epsilon, _protocol_rng(cfg.seed, tier, t),
-                    workers=cfg.workers,
-                )
-            reports.append(report.to_json_dict())
-    return reports
+        else:
+            by_tier[tier] = mub_randomness(
+                cfg.ensemble, cfg.spectrum, cfg.orders, cfg.m_u, cfg.m_perm,
+                cfg.m_samples, cfg.epsilon, rngs, workers=cfg.workers,
+            )
+    return [by_tier[tier][k].to_json_dict()
+            for k in range(len(cfg.orders)) for tier in cfg.tiers]
 
 
 def exit_code_for(verdicts: Sequence[str]) -> int:
@@ -305,7 +308,9 @@ def _cmd_mub(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="haar-sentinel",
         description="Verify uniform (Haar) randomness of state ensembles via observable statistics.",

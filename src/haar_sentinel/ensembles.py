@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -216,14 +216,110 @@ def natural_assignment(spec: EnsembleSpec, s: Spectrum) -> EigenAssignment:
 
 
 def _haar_mass_chunk(key: int, start: int, count: int, n_dim: int) -> np.ndarray:
-    z = streams.standard_normals(key, start * n_dim, count * n_dim)
-    g = z.reshape(count, n_dim) ** 2
-    return g / g.sum(axis=1, keepdims=True)
-
-
-def _haar_amplitude_chunk(key: int, start: int, count: int, n_dim: int) -> np.ndarray:
     z = streams.standard_normals(key, start * n_dim, count * n_dim).reshape(count, n_dim)
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    g = np.square(z, out=z)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
+
+
+def _rotated_expectations(amps: np.ndarray, uc: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Expectations of real states (rows of amps) measured in the rotated basis.
+
+    Row r of amps @ uc is basis^dagger psi_r.  The squared moduli are summed
+    into one buffer, and every temporary is freed on return, before the next
+    probe allocates its own.
+    """
+    rot = amps @ uc
+    power = rot.real**2
+    power += rot.imag**2
+    return power @ diag
+
+
+def generate_probe_samples(
+    spec: EnsembleSpec,
+    probes: Sequence[tuple[EigenAssignment, Optional[np.ndarray]]],
+    m_samples: int,
+    stream: tuple[int, int] = (0, 0),
+    workers: int = 1,
+) -> np.ndarray:
+    """(M, P) expectation values: M states of one stream, each measured by P probes.
+
+    A probe is an (assignment, basis or None) pair; column k holds
+    <psi_i|O_k|psi_i> with O_k the diagonal observable of assignment k,
+    rotated into the columns of basis k when one is given.  ``stream`` is the
+    (basis index, permutation index) node of the seed tree; sample i draws
+    from the fixed word range of that node's Philox stream, so column k is
+    bit-identical to a one-probe call and never depends on chunking or
+    ``workers``.  Each chunk's states are drawn once and measured by every
+    probe, and only the chunk is held: memory is O(chunk * N + M * P).
+    """
+    if m_samples < 1:
+        raise ValueError("need at least one sample")
+    diags, conj_bases = [], []
+    for a, basis in probes:
+        if a.dimension != spec.dimension:
+            raise ValueError(f"assignment dimension {a.dimension} != "
+                             f"ensemble dimension {spec.dimension}")
+        diags.append(a.as_array())
+        conj_bases.append(None if basis is None else _validate_unitary(
+            getattr(basis, "matrix", basis), spec.dimension).conj())
+    key = streams.stream_key(spec.seed, *stream)
+    plain = any(uc is None for uc in conj_bases)
+    rotated = any(uc is not None for uc in conj_bases)
+
+    if spec.kind == "fixed_basis_state":
+        b = spec.params["basis_index"]
+        # |<u_i|b>|^2 is row b of the conjugated basis, squared
+        row = [diag[b] if uc is None else float((uc.real[b, :] ** 2 + uc.imag[b, :] ** 2) @ diag)
+               for diag, uc in zip(diags, conj_bases)]
+        return np.tile(np.asarray(row, dtype=float), (m_samples, 1))
+
+    if spec.kind == "haar":
+        support = slice(None)
+        n_dim = spec.dimension
+
+        def states(s0, c):
+            """(masses, amplitudes) of the chunk, each only where a probe needs it."""
+            z = streams.standard_normals(key, s0 * n_dim, c * n_dim).reshape(c, n_dim)
+            masses = None
+            if plain:
+                masses = z * z if rotated else np.square(z, out=z)
+                masses /= masses.sum(axis=1, keepdims=True)
+            if rotated:
+                z /= np.linalg.norm(z, axis=1, keepdims=True)
+            return masses, z
+    else:
+        # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
+        if spec.kind == "counterexample":
+            support = counterexample_support(spec.params["n"])
+            alpha = counterexample_alphas(spec.params["n"])
+        else:
+            support = slice(None)
+            alpha = tuple(float(x) for x in spec.params["alpha"])
+        try:
+            streams.halfint_gamma_words(alpha)
+            gamma_matrix = streams.halfint_gamma_matrix
+        except ValueError:
+            gamma_matrix = streams.general_gamma_matrix
+
+        def states(s0, c):
+            g = gamma_matrix(key, s0, c, alpha)
+            g /= g.sum(axis=1, keepdims=True)
+            return g, (np.sqrt(g) if rotated else None)
+
+    # Unrotated probes read masses on the support; rotated ones take the rows
+    # of basis^dagger on the support and read the full diagonal.
+    measures = [(diag[support], None) if uc is None else (diag, uc[support, :])
+                for diag, uc in zip(diags, conj_bases)]
+
+    def compute(s0, c):
+        masses, amps = states(s0, c)
+        out = np.empty((c, len(measures)))
+        for k, (diag, uc) in enumerate(measures):
+            out[:, k] = masses @ diag if uc is None else _rotated_expectations(amps, uc, diag)
+        return out
+
+    return streams.chunked_samples(m_samples, compute, workers)
 
 
 def generate_expectation_samples(
@@ -236,64 +332,9 @@ def generate_expectation_samples(
 ) -> np.ndarray:
     """M raw expectation values <psi_i|O|psi_i>, deterministic per (seed, stream, i).
 
-    ``stream`` is the (basis index, permutation index) node of the seed tree;
-    sample i then draws from the fixed word range of that node's Philox
-    stream, so the output never depends on chunking or ``workers``.
+    The one-probe case of generate_probe_samples.
     """
-    if m_samples < 1:
-        raise ValueError("need at least one sample")
-    if a.dimension != spec.dimension:
-        raise ValueError(f"assignment dimension {a.dimension} != ensemble dimension {spec.dimension}")
-    u = None if basis is None else _validate_unitary(getattr(basis, "matrix", basis), spec.dimension)
-    key = streams.stream_key(spec.seed, *stream)
-    diag = a.as_array()
-
-    if spec.kind == "fixed_basis_state":
-        b = spec.params["basis_index"]
-        if u is None:
-            value = diag[b]
-        else:
-            col_masses = u.real[b, :] ** 2 + u.imag[b, :] ** 2  # |<u_i|b>|^2
-            value = float(col_masses @ diag)
-        return np.full(m_samples, value)
-
-    if spec.kind == "haar":
-        if u is None:
-            compute = lambda s0, c: _haar_mass_chunk(key, s0, c, spec.dimension) @ diag
-        else:
-            uc = u.conj()
-
-            def compute(s0, c):
-                amps = _haar_amplitude_chunk(key, s0, c, spec.dimension)
-                rot = amps @ uc  # row r = basis^dagger psi_r, real states
-                return (rot.real**2 + rot.imag**2) @ diag
-
-        return streams.chunked_samples(m_samples, compute, workers)
-
-    # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
-    if spec.kind == "counterexample":
-        support = counterexample_support(spec.params["n"])
-        alpha = counterexample_alphas(spec.params["n"])
-    else:
-        support = slice(None)
-        alpha = tuple(float(x) for x in spec.params["alpha"])
-    try:
-        streams.halfint_gamma_words(alpha)
-        gamma_matrix = streams.halfint_gamma_matrix
-    except ValueError:
-        gamma_matrix = streams.general_gamma_matrix
-    diag_support = diag[support]
-    uc_support = None if u is None else u.conj()[support, :]  # rows of basis^dagger on the support
-
-    def compute(s0, c):
-        g = gamma_matrix(key, s0, c, alpha)
-        masses = g / g.sum(axis=1, keepdims=True)
-        if u is None:
-            return masses @ diag_support
-        rot = np.sqrt(masses) @ uc_support
-        return (rot.real**2 + rot.imag**2) @ diag
-
-    return streams.chunked_samples(m_samples, compute, workers)
+    return generate_probe_samples(spec, [(a, basis)], m_samples, stream, workers)[:, 0]
 
 
 def haar_mass_samples(n_dim: int, seed: int, m_samples: int,
@@ -316,6 +357,7 @@ def counterexample_group_masses(n: int, seed: int, m_samples: int,
 
     def compute(s0, c):
         g = streams.halfint_gamma_matrix(key, s0, c, alphas)
-        return g / g.sum(axis=1, keepdims=True)
+        g /= g.sum(axis=1, keepdims=True)
+        return g
 
     return streams.chunked_samples(m_samples, compute).reshape(m_samples, n + 1)

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import gammaincinv, ndtri
 
 _MASK64 = (1 << 64) - 1
@@ -63,15 +63,21 @@ def raw_words(key: int, word_start: int, count: int) -> np.ndarray:
 def uniforms(key: int, word_start: int, count: int) -> np.ndarray:
     """Strictly interior uniforms on (0, 1), one word each.
 
-    The half-step offset keeps inverse-CDF transforms away from the poles at
-    0 and 1.
+    Word w maps to ((w >> 11) + 1/2) * 2^-53: the half-step offset keeps
+    inverse-CDF transforms away from the poles at 0 and 1.  Generator.random
+    gives (w >> 11) * 2^-53 for the same words, and adding 2^-54 rounds the
+    same real number (2(w >> 11) + 1) * 2^-54 to nearest-even, so the bits
+    equal those of the formula.
     """
-    w = raw_words(key, word_start, count)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    block, offset = divmod(int(word_start), 4)
+    u = Generator(Philox(key=key, counter=block)).random(offset + count)[offset:]
+    u += 2.0**-54
+    return u
 
 
 def standard_normals(key: int, word_start: int, count: int) -> np.ndarray:
-    return ndtri(uniforms(key, word_start, count))
+    u = uniforms(key, word_start, count)
+    return ndtri(u, out=u)
 
 
 def halfint_gamma_words(alpha: Sequence[float]) -> int:

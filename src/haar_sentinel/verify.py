@@ -30,7 +30,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
+from .ensembles import (
+    EnsembleSpec,
+    generate_expectation_samples,  # noqa: F401 -- perfbench/spans.py traces it under this module
+    generate_probe_samples,
+    natural_assignment,
+)
 from .haar_moments import (
     exact_moment,
     moment_bounds,  # noqa: F401 -- perfbench/spans.py traces it under this module
@@ -42,6 +47,11 @@ from .spectrum import EigenAssignment, Permutation, Spectrum, apply_permutation,
 
 TIERS = ("observable", "permutation", "mub")
 VERDICTS = ("compatible", "incompatible", "inconclusive")
+
+# An expectation value <psi|O|psi> is a convex combination of eigenvalues; a
+# computed one may overshoot the range by rounding, about N * 2^-53 relative at
+# worst, which stays below this slack up to N = 2^20.
+SAMPLE_RANGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,15 @@ def classify(r_value: float, delta: float, epsilon: float) -> str:
     return "inconclusive"
 
 
-def load_samples(path: str) -> np.ndarray:
-    """Read raw expectation-value samples from CSV ("sample" header) or JSON lines."""
+def load_samples(path: str, s: Spectrum) -> np.ndarray:
+    """Read raw expectation-value samples from CSV ("sample" header) or JSON lines.
+
+    Every value must be finite and inside the spectrum's range
+    [lambda_min, lambda_max], up to a relative rounding slack of
+    SAMPLE_RANGE_RTOL of the largest eigenvalue.
+    """
+    slack = SAMPLE_RANGE_RTOL * s.eigenvalues[-1]
+    low, high = s.eigenvalues[0] - slack, s.eigenvalues[-1] + slack
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -146,6 +163,9 @@ def load_samples(path: str) -> np.ndarray:
             value = float(line)
             if not isfinite(value):
                 raise ValueError(f"{path}:{lineno}: sample {line!r} is not finite")
+            if not low <= value <= high:
+                raise ValueError(f"{path}:{lineno}: sample {line!r} lies outside the spectrum's "
+                                 f"range [{s.eigenvalues[0]!r}, {s.eigenvalues[-1]!r}]")
             values.append(value)
     if not values:
         raise ValueError(f"no samples in {path}")
@@ -181,16 +201,25 @@ def average_randomness(
     epsilon: float,
     provenance: Optional[dict] = None,
 ) -> RandomnessReport:
-    """Base-tier report: empirical moment of raw samples vs the closed form."""
-    est = estimate_moment(samples, t)
+    """Base-tier report: empirical moment of raw samples vs the closed form.
+
+    The closed form and the paper's estimates come first, so a spectrum whose
+    estimates leave double range is refused before its samples are raised to
+    the t-th power.
+    """
+    values = np.asarray(samples, dtype=float)
+    if values.size < 2:
+        raise ValueError("need at least two samples")
     mu = exact_moment(s, t)
-    delta = sampling_error_bound(s, t, est.m_samples)
+    delta = sampling_error_bound(s, t, values.size)
+    required = required_samples(s, t, epsilon)
+    est = estimate_moment(values, t)
     r_value = est.mean - mu.value
     prov = {
         "M": est.m_samples,
         "stderr": est.stderr,
         "mu_method": mu.method,
-        "required_samples": required_samples(s, t, epsilon),
+        "required_samples": required,
     }
     if provenance:
         prov.update(provenance)
@@ -200,72 +229,90 @@ def average_randomness(
     )
 
 
-def _extended_report(tier: str, spec: EnsembleSpec, s: Spectrum, t: int,
-                     base: EigenAssignment, units: list, m_samples: int, epsilon: float,
-                     workers: int, provenance: dict) -> RandomnessReport:
-    """Report over (stream, basis matrix or None, permutation) units.
+def _extended_reports(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Sequence[int],
+                      base: EigenAssignment, units: list, m_samples: int, epsilon: float,
+                      workers: int, provenance: list[dict]) -> list[RandomnessReport]:
+    """One report per order over units (stream, [(basis or None, permutation) per order]).
 
-    Each unit draws m_samples states from its seed-tree stream and measures
-    the permuted base assignment, rotated into the basis when one is given;
-    R is the signed RMS of the per-unit deviations and delta the resolution
-    of the pooled budget len(units) * m_samples.
+    Each unit draws m_samples states from its seed-tree stream once and
+    measures, for every order, that order's permuted base assignment, rotated
+    into its basis when one is given; per order, R is the signed RMS of the
+    per-unit deviations and delta the resolution of the pooled budget
+    len(units) * m_samples.
     """
-    mu = exact_moment(s, t)
-    means = []
-    for stream, basis, perm in units:
-        values = generate_expectation_samples(
-            spec, apply_permutation(base, perm), basis, m_samples,
-            stream=stream, workers=workers,
+    mus = [exact_moment(s, t) for t in orders]
+    deltas = [sampling_error_bound(s, t, len(units) * m_samples) for t in orders]
+    means = [[] for _ in orders]
+    for stream, probes in units:
+        values = generate_probe_samples(
+            spec, [(apply_permutation(base, perm), basis) for basis, perm in probes],
+            m_samples, stream=stream, workers=workers,
         )
-        means.append(estimate_moment(values, t).mean)
-    delta = sampling_error_bound(s, t, len(units) * m_samples)
-    r_value = _signed_rms(np.asarray(means) - mu.value)
+        for k, t in enumerate(orders):
+            means[k].append(estimate_moment(values[:, k], t).mean)
     means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
-    prov = {
-        "seed": spec.seed,
-        "M": m_samples,
-        **provenance,
-        "mu_method": mu.method,
-        "permutations": [sha256(p.mapping.tobytes()).hexdigest()[:12] for _, _, p in units],
-        means_key: means,
-    }
-    return RandomnessReport(
-        tier=tier, t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
-    )
+    reports = []
+    for k, t in enumerate(orders):
+        r_value = _signed_rms(np.asarray(means[k]) - mus[k].value)
+        prov = {
+            "seed": spec.seed,
+            "M": m_samples,
+            **provenance[k],
+            "mu_method": mus[k].method,
+            "permutations": [sha256(probes[k][1].mapping.tobytes()).hexdigest()[:12]
+                             for _, probes in units],
+            means_key: means[k],
+        }
+        reports.append(RandomnessReport(
+            tier=tier, t=t, R=r_value, delta=deltas[k], epsilon=epsilon,
+            mu_haar=mus[k].value, verdict=classify(r_value, deltas[k], epsilon),
+            provenance=prov,
+        ))
+    return reports
+
+
+def _check_rngs(orders: Sequence[int], rngs: Sequence[np.random.Generator]) -> None:
+    if len(rngs) != len(orders):
+        raise ValueError(f"need one protocol generator per order: "
+                         f"{len(rngs)} for {len(orders)} orders")
 
 
 def permutation_randomness(
     spec: EnsembleSpec,
     s: Spectrum,
-    t: int,
+    orders: Sequence[int],
     m_perm: int,
     m_samples: int,
     epsilon: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     permutations: Optional[Sequence[Permutation]] = None,
     workers: int = 1,
-) -> RandomnessReport:
-    """Permutation-tier report over m_perm uniformly drawn eigenbasis relabelings.
+) -> list[RandomnessReport]:
+    """Permutation-tier reports, one per order, over m_perm uniform eigenbasis relabelings.
 
-    Each permutation gets a fresh block of m_samples states (seed-tree node
-    (0, p)); R is the signed RMS of the per-permutation deviations and delta
+    Order t draws its m_perm permutations from its own generator (or uses the
+    explicit ``permutations`` at every order).  Permutation p gets a block of
+    m_samples states from seed-tree node (0, p), drawn once and shared by all
+    orders; R is the signed RMS of the per-permutation deviations and delta
     the resolution of the pooled budget m_perm * m_samples.
     """
     if m_perm < 1:
         raise ValueError("need at least one permutation")
     if m_samples < 2:
         raise ValueError("need at least two samples per permutation")
+    _check_rngs(orders, rngs)
     base = natural_assignment(spec, s)
     if permutations is None:
-        perms = [Permutation(rng.permutation(base.dimension)) for _ in range(m_perm)]
+        perms = [[Permutation(rng.permutation(base.dimension)) for _ in range(m_perm)]
+                 for rng in rngs]
     else:
-        perms = list(permutations)
-        if len(perms) != m_perm:
+        if len(permutations) != m_perm:
             raise ValueError("explicit permutation list must have length m_perm")
-    units = [((0, p_idx), None, perm) for p_idx, perm in enumerate(perms)]
-    return _extended_report("permutation", spec, s, t, base, units, m_samples, epsilon,
-                            workers, {"M_perm": m_perm})
+        perms = [list(permutations) for _ in orders]
+    units = [((0, p_idx), [(None, per_order[p_idx]) for per_order in perms])
+             for p_idx in range(m_perm)]
+    return _extended_reports("permutation", spec, s, orders, base, units, m_samples, epsilon,
+                             workers, [{"M_perm": m_perm} for _ in orders])
 
 
 def permutation_dispersion(
@@ -324,36 +371,51 @@ def alpha_pairwise_check(group_masses: Sequence[float], s: Spectrum,
 def mub_randomness(
     spec: EnsembleSpec,
     s: Spectrum,
-    t: int,
+    orders: Sequence[int],
     m_u: int,
     m_perm: int,
     m_samples: int,
     epsilon: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     workers: int = 1,
-) -> RandomnessReport:
-    """MUB-tier report: permuted observables measured in random unbiased bases.
+) -> list[RandomnessReport]:
+    """MUB-tier reports, one per order: permuted observables in random unbiased bases.
 
-    m_u bases are drawn uniformly with replacement from the complete set for
-    this dimension (raising UnsupportedDimensionError when none exists), with
-    m_perm fresh permutations per basis and m_samples states per pair; seed
-    tree node (u, p).
+    Per order, m_u bases are drawn from that order's generator uniformly with
+    replacement from the complete set for this dimension (raising
+    UnsupportedDimensionError when none exists), then m_perm fresh
+    permutations per basis.  The (basis slot u, permutation p) pair reads
+    m_samples states from seed-tree node (u, p), drawn once and shared by all
+    orders.
     """
     if m_u < 1 or m_perm < 1:
         raise ValueError("basis and permutation budgets must be at least 1")
     if m_samples < 2:
         raise ValueError("need at least two samples per (basis, permutation)")
-    mubs = mub_complete_set(s.dimension)
-    base = natural_assignment(spec, s)
-    basis_indices = [int(b) for b in rng.integers(0, len(mubs), size=m_u)]
-    units = [
-        ((u_idx, p_idx), mubs.bases[b_idx].matrix, Permutation(rng.permutation(base.dimension)))
-        for u_idx, b_idx in enumerate(basis_indices)
-        for p_idx in range(m_perm)
-    ]
-    return _extended_report("mub", spec, s, t, base, units, m_samples, epsilon, workers, {
-        "M_perm": m_perm,
-        "M_u": m_u,
-        "basis_indices": basis_indices,
-        "basis_labels": [mubs.bases[b].label for b in basis_indices],
-    })
+    _check_rngs(orders, rngs)
+    draws = _draw_mub_probes(s.dimension, rngs, m_u, m_perm)
+    units = [((u_idx, p_idx), [probes[u_idx * m_perm + p_idx] for _, _, probes in draws])
+             for u_idx in range(m_u) for p_idx in range(m_perm)]
+    return _extended_reports(
+        "mub", spec, s, orders, natural_assignment(spec, s), units, m_samples, epsilon,
+        workers, [{"M_perm": m_perm, "M_u": m_u, "basis_indices": picks, "basis_labels": labels}
+                  for picks, labels, _ in draws],
+    )
+
+
+def _draw_mub_probes(n_dim: int, rngs: Sequence[np.random.Generator], m_u: int,
+                     m_perm: int) -> list[tuple[list[int], list[str], list]]:
+    """Per order: basis indices, their labels and (basis matrix, permutation) per unit.
+
+    Each generator draws m_u basis indices, then m_perm permutations per
+    basis.  Only the drawn matrices outlive the call, so the rest of the
+    complete set is freed before any state is sampled.
+    """
+    mubs = mub_complete_set(n_dim)
+    draws = []
+    for rng in rngs:
+        picks = [int(b) for b in rng.integers(0, len(mubs), size=m_u)]
+        probes = [(mubs.bases[b].matrix, Permutation(rng.permutation(n_dim)))
+                  for b in picks for _ in range(m_perm)]
+        draws.append((picks, [mubs.bases[b].label for b in picks], probes))
+    return draws

@@ -118,9 +118,9 @@ def test_criterion_06_counterexample_separation():
         )
         obs = average_randomness(samples, s, 1, epsilon)
         observable_compatible += obs.verdict == "compatible"
-        perm = permutation_randomness(
-            spec, s, 1, m_perm, m_samples, epsilon,
-            np.random.default_rng(70_000 + trial),
+        [perm] = permutation_randomness(
+            spec, s, [1], m_perm, m_samples, epsilon,
+            [np.random.default_rng(70_000 + trial)],
         )
         permutation_incompatible += perm.verdict == "incompatible"
     elapsed = time.monotonic() - started

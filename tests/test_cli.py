@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from haar_sentinel import cli
+from haar_sentinel import cli, streams
 from haar_sentinel.cli import (
     EXIT_INCOMPATIBLE,
     EXIT_INCONCLUSIVE,
@@ -17,9 +17,10 @@ from haar_sentinel.cli import (
     main,
 )
 from haar_sentinel.ensembles import natural_assignment
-from haar_sentinel.haar_moments import exact_moment
-from haar_sentinel.spectrum import number_operator
-from haar_sentinel.verify import average_randomness
+from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
+from haar_sentinel.mub import mub_complete_set
+from haar_sentinel.spectrum import Permutation, apply_permutation, number_operator
+from haar_sentinel.verify import RandomnessReport, average_randomness, classify, estimate_moment
 
 NUMBER_OP_3 = {"eigenvalues": [0, 1, 2, 3], "multiplicities": [1, 3, 3, 1]}
 QUBIT = {"eigenvalues": [0, 1], "multiplicities": [1, 1]}
@@ -305,6 +306,110 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
     assert json.dumps(reports, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
+def _per_order_reference(cfg, tier):
+    """Extended-tier reports built order by order, one one-probe draw per unit and order."""
+    s, spec, m = cfg.spectrum, cfg.ensemble, cfg.m_samples
+    base = natural_assignment(spec, s)
+    reports = []
+    for t in cfg.orders:
+        rng = cli._protocol_rng(cfg.seed, tier, t)
+        extra = {"M_perm": cfg.m_perm}
+        if tier == "permutation":
+            units = [((0, p), None, Permutation(rng.permutation(s.dimension)))
+                     for p in range(cfg.m_perm)]
+        else:
+            mubs = mub_complete_set(s.dimension)
+            picks = [int(b) for b in rng.integers(0, len(mubs), size=cfg.m_u)]
+            units = [((u, p), mubs.bases[b].matrix, Permutation(rng.permutation(s.dimension)))
+                     for u, b in enumerate(picks) for p in range(cfg.m_perm)]
+            extra.update(M_u=cfg.m_u, basis_indices=picks,
+                         basis_labels=[mubs.bases[b].label for b in picks])
+        means = [estimate_moment(cli.generate_expectation_samples(
+                     spec, apply_permutation(base, perm), basis, m, stream=stream,
+                     workers=cfg.workers), t).mean
+                 for stream, basis, perm in units]
+        deviations = np.asarray(means) - exact_moment(s, t).value
+        rms = float(np.sqrt(np.mean(deviations**2)))
+        r_value = rms if float(np.sum(deviations)) >= 0 else -rms
+        delta = sampling_error_bound(s, t, len(units) * m)
+        means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
+        reports.append(RandomnessReport(
+            tier=tier, t=t, R=r_value, delta=delta, epsilon=cfg.epsilon,
+            mu_haar=exact_moment(s, t).value, verdict=classify(r_value, delta, cfg.epsilon),
+            provenance={"seed": spec.seed, "M": m, **extra, "mu_method": "exact",
+                        "permutations": [hashlib.sha256(p.mapping.tobytes()).hexdigest()[:12]
+                                         for _, _, p in units],
+                        means_key: means},
+        ).to_json_dict())
+    return reports
+
+
+def test_permutation_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
+    path = _campaign(
+        tmp_path,
+        spectrum=number_operator(3).to_json_dict(),
+        ensemble={"kind": "counterexample", "n": 3, "seed": 43},
+        tiers=["observable", "permutation"],
+        t=[1, 2],
+        budgets={"M": 2000, "M_perm": 5},
+        seed=43,
+    )
+    cfg = load_campaign(path)
+    gamma = streams.halfint_gamma_matrix
+    calls = []
+
+    def counting(key, start_sample, count, alpha):
+        calls.append((key, start_sample))
+        return gamma(key, start_sample, count, alpha)
+
+    monkeypatch.setattr(streams, "halfint_gamma_matrix", counting)
+    reports = cli.run_campaign(cfg)
+    # one draw for the observable tier (stream (0, 0)) plus one per permutation
+    # stream (0, p), not one per order
+    key = lambda p: streams.stream_key(cfg.ensemble.seed, 0, p)
+    assert len(calls) == 1 + cfg.m_perm
+    assert sorted(calls) == sorted([(key(0), 0)] + [(key(p), 0) for p in range(cfg.m_perm)])
+
+    monkeypatch.setattr(streams, "halfint_gamma_matrix", gamma)
+    assert [(r["t"], r["tier"]) for r in reports] == [
+        (1, "observable"), (1, "permutation"), (2, "observable"), (2, "permutation")]
+    assert json.dumps(reports[1::2], sort_keys=True) == \
+        json.dumps(_per_order_reference(cfg, "permutation"), sort_keys=True)
+
+
+def test_mub_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
+    path = _campaign(
+        tmp_path,
+        spectrum={"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 2]},
+        ensemble={"kind": "haar", "N": 5, "seed": 44},
+        tiers=["mub"],
+        t=[1, 2],
+        budgets={"M": 10000, "M_perm": 2, "M_u": 3},
+        workers=2,
+        seed=44,
+    )
+    cfg = load_campaign(path)
+    normals = streams.standard_normals
+    calls = []
+
+    def counting(key, word_start, count):
+        calls.append((key, word_start))
+        return normals(key, word_start, count)
+
+    monkeypatch.setattr(streams, "standard_normals", counting)
+    reports = cli.run_campaign(cfg)
+    # M spans two chunks: each (u, p) stream is drawn once, chunk by chunk
+    chunk_words = streams.CHUNK_SAMPLES * cfg.spectrum.dimension
+    expected = {(streams.stream_key(cfg.ensemble.seed, u, p), w)
+                for u in range(cfg.m_u) for p in range(cfg.m_perm) for w in (0, chunk_words)}
+    assert len(calls) == len(expected)
+    assert set(calls) == expected
+
+    monkeypatch.setattr(streams, "standard_normals", normals)
+    assert json.dumps(reports, sort_keys=True) == \
+        json.dumps(_per_order_reference(cfg, "mub"), sort_keys=True)
+
+
 def test_samples_file_read_once_per_campaign(tmp_path, monkeypatch):
     csv = tmp_path / "samples.csv"
     csv.write_text("sample\n" + "".join(f"{float(v)!r}\n" for v in np.linspace(0.0, 3.0, 200)))
@@ -319,9 +424,9 @@ def test_samples_file_read_once_per_campaign(tmp_path, monkeypatch):
     load = cli.load_samples
     calls = []
 
-    def counting(p):
+    def counting(p, s):
         calls.append(p)
-        return load(p)
+        return load(p, s)
 
     monkeypatch.setattr(cli, "load_samples", counting)
     reports = cli.run_campaign(load_campaign(path))
@@ -337,7 +442,7 @@ def test_samples_file_with_non_finite_value_is_bad_input(tmp_path, bad):
     csv = tmp_path / "samples.csv"
     csv.write_text(f"sample\n0.5\n{bad}\n0.25\n")
     with pytest.raises(ValueError, match=r"samples\.csv:3: .* not finite"):
-        load_samples(str(csv))
+        load_samples(str(csv), number_operator(1))
     cfg = write_json(tmp_path, "c.json", {
         "spectrum": QUBIT,
         "samples": str(csv),
@@ -349,12 +454,34 @@ def test_samples_file_with_non_finite_value_is_bad_input(tmp_path, bad):
     assert main(["verify", "--config", cfg]) == EXIT_INPUT
 
 
+def test_samples_file_outside_the_spectrum_range_is_bad_input(tmp_path, capsys):
+    from haar_sentinel.verify import load_samples
+
+    csv = tmp_path / "samples.csv"
+    # 1 + 1e-13 is rounding of a value at lambda_max and loads; 1e160 does not
+    csv.write_text("sample\n0.5\n1.0000000000001\n1e160\n0.25\n")
+    with pytest.raises(ValueError, match=r"samples\.csv:4: sample '1e160' lies outside"):
+        load_samples(str(csv), number_operator(1))
+    cfg = write_json(tmp_path, "c.json", {
+        "spectrum": QUBIT,
+        "samples": str(csv),
+        "tiers": ["observable"],
+        "t": [1],
+        "epsilon": 0.05,
+        "seed": 1,
+    })
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+    assert "samples.csv:4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_samples_json_lines(tmp_path):
     from haar_sentinel.verify import load_samples
 
     path = tmp_path / "samples.jsonl"
     path.write_text("0.125\n0.5\n0.375\n")
-    assert load_samples(str(path)).tolist() == [0.125, 0.5, 0.375]
+    assert load_samples(str(path), number_operator(1)).tolist() == [0.125, 0.5, 0.375]
 
 
 def test_exit_code_is_function_of_verdict_multiset():

@@ -128,8 +128,8 @@ def test_permutation_identity_reduces_to_average_randomness():
     spec = EnsembleSpec(kind="haar", dimension=8, seed=99)
     samples = generate_expectation_samples(spec, expand(s), None, 5_000, stream=(0, 0))
     rep_obs = average_randomness(samples, s, 2, epsilon=0.05)
-    rep_perm = permutation_randomness(
-        spec, s, 2, 1, 5_000, 0.05, np.random.default_rng(0),
+    [rep_perm] = permutation_randomness(
+        spec, s, [2], 1, 5_000, 0.05, [np.random.default_rng(0)],
         permutations=[Permutation.identity(8)],
     )
     assert rep_perm.R == rep_obs.R
@@ -140,7 +140,7 @@ def test_permutation_identity_reduces_to_average_randomness():
 def test_permutation_tier_haar_compatible():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=1234)
-    report = permutation_randomness(spec, s, 1, 20, 10_000, 0.01, np.random.default_rng(7))
+    [report] = permutation_randomness(spec, s, [1], 20, 10_000, 0.01, [np.random.default_rng(7)])
     assert report.verdict == "compatible"
     assert len(report.provenance["permutations"]) == 20
 
@@ -149,7 +149,7 @@ def test_permutation_tier_counterexample_incompatible():
     n = 6
     s = number_operator(n)
     spec = EnsembleSpec(kind="counterexample", dimension=2**n, seed=81, params={"n": n})
-    report = permutation_randomness(spec, s, 1, 20, 10_000, 0.01, np.random.default_rng(3))
+    [report] = permutation_randomness(spec, s, [1], 20, 10_000, 0.01, [np.random.default_rng(3)])
     assert report.verdict == "incompatible"
     # same ensemble viewed through the unpermuted observable looks uniform
     a = natural_assignment(spec, s)
@@ -227,7 +227,7 @@ def test_alpha_pairwise_check_single_eigenspace_error():
 def test_mub_tier_haar_compatible():
     s = QUBIT
     spec = EnsembleSpec(kind="haar", dimension=2, seed=2024)
-    report = mub_randomness(spec, s, 1, 3, 4, 10_000, 0.01, np.random.default_rng(5))
+    [report] = mub_randomness(spec, s, [1], 3, 4, 10_000, 0.01, [np.random.default_rng(5)])
     assert report.verdict == "compatible"
     assert len(report.provenance["basis_indices"]) == 3
 
@@ -236,7 +236,7 @@ def test_mub_tier_fixed_state_incompatible():
     s = QUBIT
     spec = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=0,
                         params={"basis_index": 0})
-    report = mub_randomness(spec, s, 1, 3, 2, 1_000, 0.01, np.random.default_rng(2))
+    [report] = mub_randomness(spec, s, [1], 3, 2, 1_000, 0.01, [np.random.default_rng(2)])
     assert report.verdict == "incompatible"
 
 
@@ -244,20 +244,20 @@ def test_mub_tier_unsupported_dimension():
     s = make_spectrum((0, 1), (3, 3))  # N = 6
     spec = EnsembleSpec(kind="haar", dimension=6, seed=1)
     with pytest.raises(UnsupportedDimensionError):
-        mub_randomness(spec, s, 1, 2, 2, 100, 0.01, np.random.default_rng(0))
+        mub_randomness(spec, s, [1], 2, 2, 100, 0.01, [np.random.default_rng(0)])
 
 
 def test_delta_strictly_decreases_with_budgets():
     s = number_operator(2)
     spec = EnsembleSpec(kind="haar", dimension=4, seed=3)
-    rng = lambda: np.random.default_rng(11)
-    base = permutation_randomness(spec, s, 1, 2, 1_000, 0.01, rng()).delta
-    more_perms = permutation_randomness(spec, s, 1, 4, 1_000, 0.01, rng()).delta
-    more_samples = permutation_randomness(spec, s, 1, 2, 2_000, 0.01, rng()).delta
+    rngs = lambda: [np.random.default_rng(11)]
+    base = permutation_randomness(spec, s, [1], 2, 1_000, 0.01, rngs())[0].delta
+    more_perms = permutation_randomness(spec, s, [1], 4, 1_000, 0.01, rngs())[0].delta
+    more_samples = permutation_randomness(spec, s, [1], 2, 2_000, 0.01, rngs())[0].delta
     assert more_perms < base
     assert more_samples < base
-    mub_base = mub_randomness(spec, s, 1, 2, 2, 1_000, 0.01, rng()).delta
-    mub_more = mub_randomness(spec, s, 1, 4, 2, 1_000, 0.01, rng()).delta
+    mub_base = mub_randomness(spec, s, [1], 2, 2, 1_000, 0.01, rngs())[0].delta
+    mub_more = mub_randomness(spec, s, [1], 4, 2, 1_000, 0.01, rngs())[0].delta
     assert mub_more < mub_base
 
 
