@@ -29,6 +29,7 @@ import numpy as np
 
 from . import streams
 from .dirichlet import DirichletParams
+from .mub import MubBasis
 from .spectrum import (
     EigenAssignment,
     MAX_DIMENSION,
@@ -182,14 +183,22 @@ def _validate_unitary(basis: np.ndarray, n_dim: int) -> np.ndarray:
     return u
 
 
+def _basis_matrix(basis, n_dim: int) -> np.ndarray:
+    """The unitary of a basis: a MubBasis was checked when built, a raw matrix is checked here."""
+    if isinstance(basis, MubBasis):
+        if basis.dimension != n_dim:
+            raise ValueError(f"basis dimension {basis.dimension} does not match dimension {n_dim}")
+        return basis.matrix
+    return _validate_unitary(basis, n_dim)
+
+
 def expectation_rotated(psi: StateVector, a: EigenAssignment, basis: np.ndarray) -> float:
     """Expectation after measuring in the columns of ``basis``.
 
     Equals expectation(basis^dagger psi, a): entry i of the rotated state is
     the overlap of basis column i with psi.
     """
-    matrix = getattr(basis, "matrix", basis)
-    u = _validate_unitary(matrix, psi.dimension)
+    u = _basis_matrix(basis, psi.dimension)
     rotated = u.conj().T @ psi.amplitudes
     return float((rotated.real**2 + rotated.imag**2) @ a.as_array())
 
@@ -222,17 +231,16 @@ def _haar_mass_chunk(key: int, start: int, count: int, n_dim: int) -> np.ndarray
     return g
 
 
-def _rotated_expectations(amps: np.ndarray, uc: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Expectations of real states (rows of amps) measured in the rotated basis.
+def _quadratic_form(basis: np.ndarray, support, diag: np.ndarray) -> np.ndarray:
+    """Real K with <psi|U D U^dagger|psi> = psi^T K psi for every real psi on support S.
 
-    Row r of amps @ uc is basis^dagger psi_r.  The squared moduli are summed
-    into one buffer, and every temporary is freed on return, before the next
-    probe allocates its own.
+    K = Re(conj(U_S) D U_S^T) = U_r D U_r^T + U_i D U_i^T, with U_S the rows S
+    of the basis and D = diag: the imaginary part of conj(U_S) D U_S^T is
+    antisymmetric and drops out of a real quadratic form.  Complex amplitudes
+    would need Im(K) as well.
     """
-    rot = amps @ uc
-    power = rot.real**2
-    power += rot.imag**2
-    return power @ diag
+    u = basis[support, :]
+    return (u.real * diag) @ u.real.T + (u.imag * diag) @ u.imag.T
 
 
 def generate_probe_samples(
@@ -246,35 +254,39 @@ def generate_probe_samples(
 
     A probe is an (assignment, basis or None) pair; column k holds
     <psi_i|O_k|psi_i> with O_k the diagonal observable of assignment k,
-    rotated into the columns of basis k when one is given.  ``stream`` is the
-    (basis index, permutation index) node of the seed tree; sample i draws
+    rotated into the columns of basis k when one is given.  A MubBasis is
+    taken as checked; a raw matrix must be unitary to 1e-10.  ``stream`` is
+    the (basis index, permutation index) node of the seed tree; sample i draws
     from the fixed word range of that node's Philox stream, so column k is
     bit-identical to a one-probe call and never depends on chunking or
     ``workers``.  Each chunk's states are drawn once and measured by every
     probe, and only the chunk is held: memory is O(chunk * N + M * P).
+
+    Every kind has real amplitudes, so a rotated probe is one real quadratic
+    form on the state's support S, formed once per call: a chunk of c states
+    costs c |S|^2 multiply-adds per rotated probe instead of the 4 c |S| N of
+    the complex product U^dagger psi.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
-    diags, conj_bases = [], []
+    diags, bases = [], []
     for a, basis in probes:
         if a.dimension != spec.dimension:
             raise ValueError(f"assignment dimension {a.dimension} != "
                              f"ensemble dimension {spec.dimension}")
         diags.append(a.as_array())
-        conj_bases.append(None if basis is None else _validate_unitary(
-            getattr(basis, "matrix", basis), spec.dimension).conj())
+        bases.append(None if basis is None else _basis_matrix(basis, spec.dimension))
     key = streams.stream_key(spec.seed, *stream)
-    plain = any(uc is None for uc in conj_bases)
-    rotated = any(uc is not None for uc in conj_bases)
+    plain = any(u is None for u in bases)
+    rotated = any(u is not None for u in bases)
 
     if spec.kind == "fixed_basis_state":
-        b = spec.params["basis_index"]
-        # |<u_i|b>|^2 is row b of the conjugated basis, squared
-        row = [diag[b] if uc is None else float((uc.real[b, :] ** 2 + uc.imag[b, :] ** 2) @ diag)
-               for diag, uc in zip(diags, conj_bases)]
-        return np.tile(np.asarray(row, dtype=float), (m_samples, 1))
+        support = [spec.params["basis_index"]]
 
-    if spec.kind == "haar":
+        def states(s0, c):
+            ones = np.ones((c, 1))
+            return ones, ones
+    elif spec.kind == "haar":
         support = slice(None)
         n_dim = spec.dimension
 
@@ -307,16 +319,16 @@ def generate_probe_samples(
             g /= g.sum(axis=1, keepdims=True)
             return g, (np.sqrt(g) if rotated else None)
 
-    # Unrotated probes read masses on the support; rotated ones take the rows
-    # of basis^dagger on the support and read the full diagonal.
-    measures = [(diag[support], None) if uc is None else (diag, uc[support, :])
-                for diag, uc in zip(diags, conj_bases)]
+    # Unrotated probes read masses against the diagonal on the support;
+    # rotated ones read amplitudes against their quadratic form.
+    measures = [(diag[support], None) if u is None else (None, _quadratic_form(u, support, diag))
+                for diag, u in zip(diags, bases)]
 
     def compute(s0, c):
         masses, amps = states(s0, c)
         out = np.empty((c, len(measures)))
-        for k, (diag, uc) in enumerate(measures):
-            out[:, k] = masses @ diag if uc is None else _rotated_expectations(amps, uc, diag)
+        for k, (diag, form) in enumerate(measures):
+            out[:, k] = masses @ diag if form is None else np.einsum("ij,ij->i", amps @ form, amps)
         return out
 
     return streams.chunked_samples(m_samples, compute, workers)

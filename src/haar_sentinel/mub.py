@@ -11,6 +11,9 @@ every prime-power dimension.  Here the construction covers:
 - N = 4: a fixed verified table (general power-of-two machinery is out of
   scope; 4 keeps two-qubit demonstrations possible).
 
+Each basis is built on its own by ``mub_basis``, so a caller that needs a few
+bases of a large dimension never holds the (N+1) N^2 entries of the full set.
+
 Whatever the formula, the product is pinned by its output property: the
 exhaustive pairwise check below must pass at tolerance 1e-10.
 """
@@ -126,11 +129,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _odd_prime_bases(p: int) -> list[np.ndarray]:
+def _odd_prime_basis(p: int, r: int) -> np.ndarray:
     omega = np.exp(2j * np.pi / p)
     i = np.arange(p)[:, None]
     j = np.arange(p)[None, :]
-    return [omega ** ((r * i * i + j * i) % p) / np.sqrt(p) for r in range(p)]
+    return omega ** ((r * i * i + j * i) % p) / np.sqrt(p)
 
 
 _N2_TABLES = [
@@ -152,26 +155,34 @@ _N4_TABLES = [
 ]
 
 
-def mub_complete_set(n_dim: int) -> MubSet:
-    """Build the N+1 pairwise unbiased bases for prime N or N = 4.
+def mub_basis(n_dim: int, index: int) -> MubBasis:
+    """Basis ``index`` of the complete set for prime N or N = 4, built on its own.
 
-    Raises UnsupportedDimensionError otherwise: no general construction is
-    known beyond prime powers, and only the prime + N=4 cases ship here.
+    Index 0 is the computational basis and index r + 1 the basis labelled
+    ``rotated-r``.  Raises UnsupportedDimensionError when no construction
+    exists for N (no general one is known beyond prime powers, and only the
+    prime + N=4 cases ship here), and ValueError for an index outside 0..N.
     """
     if n_dim < 2:
         raise UnsupportedDimensionError(f"dimension {n_dim} too small (need N >= 2)")
-    computational = MubBasis(np.eye(n_dim, dtype=complex), label="computational")
-    if n_dim == 2:
-        extra = _N2_TABLES
-    elif n_dim == 4:
-        extra = _N4_TABLES
-    elif _is_prime(n_dim):
-        extra = _odd_prime_bases(n_dim)
-    else:
+    if n_dim != 4 and not _is_prime(n_dim):
         raise UnsupportedDimensionError(
             f"no construction available for dimension {n_dim} (prime or 4 required)"
         )
-    bases = [computational] + [
-        MubBasis(m, label=f"rotated-{r}") for r, m in enumerate(extra)
-    ]
-    return MubSet(bases=tuple(bases), dimension=n_dim)
+    if not 0 <= index <= n_dim:
+        raise ValueError(f"basis index {index} outside 0..{n_dim} for dimension {n_dim}")
+    if index == 0:
+        return MubBasis(np.eye(n_dim, dtype=complex), label="computational")
+    r = index - 1
+    if n_dim == 2:
+        matrix = _N2_TABLES[r]
+    elif n_dim == 4:
+        matrix = _N4_TABLES[r]
+    else:
+        matrix = _odd_prime_basis(n_dim, r)
+    return MubBasis(matrix, label=f"rotated-{r}")
+
+
+def mub_complete_set(n_dim: int) -> MubSet:
+    """The N+1 pairwise unbiased bases for prime N or N = 4, in index order."""
+    return MubSet(tuple(mub_basis(n_dim, r) for r in range(n_dim + 1)), n_dim)

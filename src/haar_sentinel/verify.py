@@ -42,7 +42,10 @@ from .haar_moments import (
     required_samples,
     sampling_error_bound,
 )
-from .mub import mub_complete_set
+from .mub import (
+    mub_basis,
+    mub_complete_set,  # noqa: F401 -- perfbench/spans.py traces it under this module
+)
 from .spectrum import EigenAssignment, Permutation, Spectrum, apply_permutation, trace
 
 TIERS = ("observable", "permutation", "mub")
@@ -384,9 +387,9 @@ def mub_randomness(
     Per order, m_u bases are drawn from that order's generator uniformly with
     replacement from the complete set for this dimension (raising
     UnsupportedDimensionError when none exists), then m_perm fresh
-    permutations per basis.  The (basis slot u, permutation p) pair reads
-    m_samples states from seed-tree node (u, p), drawn once and shared by all
-    orders.
+    permutations per basis; only the drawn bases are built.  The (basis slot
+    u, permutation p) pair reads m_samples states from seed-tree node (u, p),
+    drawn once and shared by all orders.
     """
     if m_u < 1 or m_perm < 1:
         raise ValueError("basis and permutation budgets must be at least 1")
@@ -405,17 +408,20 @@ def mub_randomness(
 
 def _draw_mub_probes(n_dim: int, rngs: Sequence[np.random.Generator], m_u: int,
                      m_perm: int) -> list[tuple[list[int], list[str], list]]:
-    """Per order: basis indices, their labels and (basis matrix, permutation) per unit.
+    """Per order: basis indices, their labels and (basis, permutation) per unit.
 
-    Each generator draws m_u basis indices, then m_perm permutations per
-    basis.  Only the drawn matrices outlive the call, so the rest of the
-    complete set is freed before any state is sampled.
+    Each generator draws m_u basis indices from the N+1 of the complete set,
+    then m_perm permutations per basis.  Only the drawn bases are built, each
+    distinct index once, and shared by every order that drew it.
     """
-    mubs = mub_complete_set(n_dim)
+    built = {}
     draws = []
     for rng in rngs:
-        picks = [int(b) for b in rng.integers(0, len(mubs), size=m_u)]
-        probes = [(mubs.bases[b].matrix, Permutation(rng.permutation(n_dim)))
+        picks = [int(b) for b in rng.integers(0, n_dim + 1, size=m_u)]
+        for b in picks:
+            if b not in built:
+                built[b] = mub_basis(n_dim, b)
+        probes = [(built[b], Permutation(rng.permutation(n_dim)))
                   for b in picks for _ in range(m_perm)]
-        draws.append((picks, [mubs.bases[b].label for b in picks], probes))
+        draws.append((picks, [built[b].label for b in picks], probes))
     return draws

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from haar_sentinel import cli, streams
+from haar_sentinel import cli, streams, verify
 from haar_sentinel.cli import (
     EXIT_INCOMPATIBLE,
     EXIT_INCONCLUSIVE,
@@ -18,7 +21,7 @@ from haar_sentinel.cli import (
 )
 from haar_sentinel.ensembles import natural_assignment
 from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
-from haar_sentinel.mub import mub_complete_set
+from haar_sentinel.mub import mub_basis, mub_complete_set
 from haar_sentinel.spectrum import Permutation, apply_permutation, number_operator
 from haar_sentinel.verify import RandomnessReport, average_randomness, classify, estimate_moment
 
@@ -410,6 +413,37 @@ def test_mub_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
         json.dumps(_per_order_reference(cfg, "mub"), sort_keys=True)
 
 
+def test_mub_tier_builds_only_the_drawn_bases(tmp_path, monkeypatch):
+    path = _campaign(
+        tmp_path,
+        spectrum={"eigenvalues": [0, 1, 2, 3], "multiplicities": [16, 15, 15, 15]},
+        ensemble={"kind": "haar", "N": 61, "seed": 45},
+        tiers=["mub"],
+        t=[1, 2],
+        budgets={"M": 200, "M_perm": 2, "M_u": 2},
+        seed=45,
+    )
+    built = []
+
+    def counting(n_dim, index):
+        built.append(index)
+        return mub_basis(n_dim, index)
+
+    def refuse(n_dim):
+        raise AssertionError("the campaign built the complete set")
+
+    monkeypatch.setattr(verify, "mub_basis", counting)
+    monkeypatch.setattr(verify, "mub_complete_set", refuse)
+    reports = cli.run_campaign(load_campaign(path))
+    # each distinct drawn index is built once and shared by both orders
+    drawn = [r["provenance"]["basis_indices"] for r in reports]
+    assert all(len(picks) == 2 for picks in drawn)
+    assert sorted(built) == sorted({b for picks in drawn for b in picks})
+    assert len(built) <= 2 * len(reports)
+    assert [r["provenance"]["basis_labels"] for r in reports] == \
+        [[mub_basis(61, b).label for b in picks] for picks in drawn]
+
+
 def test_samples_file_read_once_per_campaign(tmp_path, monkeypatch):
     csv = tmp_path / "samples.csv"
     csv.write_text("sample\n" + "".join(f"{float(v)!r}\n" for v in np.linspace(0.0, 3.0, 200)))
@@ -591,3 +625,56 @@ def test_verify_rejects_ensemble_params_without_meaning(tmp_path, capsys, ensemb
     cfg = _campaign(tmp_path, ensemble=ensemble, tiers=["observable"], budgets={"M": 100})
     assert main(["verify", "--config", cfg]) == EXIT_INPUT
     assert problem in capsys.readouterr().err
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def _run_python(code: str, tmp_path) -> str:
+    """Run code in a fresh interpreter that imports the package under test."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_commands_that_never_sample_never_import_scipy(tmp_path):
+    spectrum = write_json(tmp_path, "spectrum.json", NUMBER_OP_3)
+    campaign = _campaign(tmp_path, tiers=["observable"], budgets={"M": 1000})
+    code = f"""
+import contextlib, io, json, sys
+from haar_sentinel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["moments", "--spectrum", {spectrum!r}, "--t", "1..4"]),
+             cli.main(["mub", "dump", "-N", "5"])]
+    before = "scipy" in sys.modules
+    codes.append(cli.main(["verify", "--config", {campaign!r}]))
+print(json.dumps([codes, before, "scipy" in sys.modules]))
+"""
+    assert json.loads(_run_python(code, tmp_path)) == [[EXIT_OK, EXIT_OK, EXIT_OK], False, True]
+
+
+def test_mub_tier_runs_at_a_large_prime_dimension(tmp_path):
+    # the complete set at N = 1021 would hold 1022 dense bases, about 17 GB
+    campaign = _campaign(
+        tmp_path,
+        spectrum={"eigenvalues": [0, 1], "multiplicities": [511, 510]},
+        ensemble={"kind": "haar", "N": 1021, "seed": 46},
+        tiers=["mub"],
+        budgets={"M": 200, "M_perm": 1, "M_u": 2},
+        seed=46,
+    )
+    out = tmp_path / "report.json"
+    code = f"""
+import contextlib, io, json, resource
+from haar_sentinel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = cli.main(["verify", "--config", {campaign!r}, "--out", {str(out)!r}])
+print(json.dumps([exit_code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+    exit_code, peak_mib = json.loads(_run_python(code, tmp_path))
+    assert exit_code == EXIT_OK
+    [report] = json.loads(out.read_text())["reports"]
+    assert report["verdict"] == "compatible"
+    assert peak_mib < 400

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
+from haar_sentinel import ensembles, streams
 from haar_sentinel.dirichlet import DirichletParams, dirichlet_mixed_moment
 from haar_sentinel.ensembles import (
     EnsembleSpec,
@@ -18,6 +19,7 @@ from haar_sentinel.ensembles import (
     natural_assignment,
     sample_haar_state,
 )
+from haar_sentinel.mub import mub_basis
 from haar_sentinel.spectrum import (
     EigenAssignment,
     Permutation,
@@ -228,3 +230,65 @@ def test_natural_assignment_round_trips_at_the_qubit_limit():
     perm = Permutation(np.random.default_rng(20).permutation(base.dimension))
     assert base.collapse() == s
     assert apply_permutation(base, perm).collapse() == s
+
+
+def _complex_reference(amps, basis, diag):
+    """<psi|U D U^dagger|psi> as |psi . conj(U)|^2 . d, one complex product per state."""
+    rotated = amps.astype(complex) @ basis.conj()
+    return (rotated.real**2 + rotated.imag**2) @ diag
+
+
+def _rotated_cases():
+    for n_dim in (2, 3, 5, 61, 127):
+        for index in sorted({0, 1, n_dim // 2 + 1, n_dim}):
+            yield "haar", n_dim, index
+    for index in range(5):
+        yield "counterexample", 4, index
+
+
+@pytest.mark.parametrize("kind,n_dim,index", list(_rotated_cases()))
+def test_rotated_expectations_match_the_complex_product(monkeypatch, kind, n_dim, index):
+    # small chunks, so that workers=2 really splits the work
+    monkeypatch.setattr(streams, "CHUNK_SAMPLES", 300)
+    m = 700
+    if kind == "haar":
+        spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=400 + n_dim)
+        z = streams.standard_normals(streams.stream_key(spec.seed, 1, 2), 0, m * n_dim)
+        z = z.reshape(m, n_dim)
+        amps = z / np.linalg.norm(z, axis=1, keepdims=True)
+    else:
+        spec = EnsembleSpec(kind="counterexample", dimension=4, seed=402, params={"n": 2})
+        g = streams.halfint_gamma_matrix(streams.stream_key(spec.seed, 1, 2), 0, m,
+                                         counterexample_alphas(2))
+        amps = np.zeros((m, 4))
+        amps[:, counterexample_support(2)] = np.sqrt(g / g.sum(axis=1, keepdims=True))
+    diag = np.random.default_rng(n_dim + index).permutation(np.linspace(0.0, 3.0, n_dim))
+    a = EigenAssignment(diag)
+    basis = mub_basis(n_dim, index)
+    one = generate_expectation_samples(spec, a, basis, m, stream=(1, 2), workers=1)
+    two = generate_expectation_samples(spec, a, basis, m, stream=(1, 2), workers=2)
+    assert one.tobytes() == two.tobytes()
+    ref = _complex_reference(amps, basis.matrix, diag)
+    assert np.abs(one - ref).max() <= 1e-13 * diag.max()
+
+
+def test_raw_basis_must_be_unitary():
+    spec = EnsembleSpec(kind="haar", dimension=2, seed=1)
+    a = EigenAssignment((0.0, 1.0))
+    with pytest.raises(ValueError, match="not unitary"):
+        generate_expectation_samples(spec, a, np.array([[1, 1], [0, 1]], dtype=complex), 10)
+    with pytest.raises(ValueError, match="does not match"):
+        generate_expectation_samples(spec, a, np.eye(3), 10)
+
+
+def test_mub_basis_is_not_checked_again(monkeypatch):
+    def refuse(basis, n_dim):
+        raise AssertionError("a MubBasis was checked when it was built")
+
+    monkeypatch.setattr(ensembles, "_validate_unitary", refuse)
+    spec = EnsembleSpec(kind="haar", dimension=5, seed=3)
+    a = EigenAssignment((0.0, 1.0, 2.0, 3.0, 4.0))
+    values = generate_expectation_samples(spec, a, mub_basis(5, 2), 100)
+    assert values.shape == (100,)
+    with pytest.raises(ValueError, match="does not match"):
+        generate_expectation_samples(spec, a, mub_basis(3, 1), 10)

@@ -8,6 +8,7 @@ from haar_sentinel.mub import (
     MubSet,
     UnsupportedDimensionError,
     check_mub,
+    mub_basis,
     mub_complete_set,
 )
 
@@ -99,3 +100,26 @@ def test_prime_bases_match_the_entrywise_formula(p):
             for j in range(p):
                 ref[i, j] = omega ** np.int64((r * i * i + j * i) % p)
         assert np.array_equal(bases[r].matrix, ref / np.sqrt(p))
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 7, 61])
+def test_single_basis_equals_the_complete_set_entry(n_dim):
+    mubs = mub_complete_set(n_dim)
+    for r in range(n_dim + 1):
+        basis = mub_basis(n_dim, r)
+        assert basis.label == mubs.bases[r].label
+        assert basis.matrix.dtype == mubs.bases[r].matrix.dtype
+        assert basis.matrix.tobytes() == mubs.bases[r].matrix.tobytes()
+
+
+@pytest.mark.parametrize("index", [-1, 6, 60])
+def test_single_basis_index_outside_the_set(index):
+    with pytest.raises(ValueError, match="outside 0..5") as info:
+        mub_basis(5, index)
+    assert not isinstance(info.value, UnsupportedDimensionError)
+
+
+@pytest.mark.parametrize("index", [0, 1, 6])
+def test_single_basis_of_unsupported_dimension(index):
+    with pytest.raises(UnsupportedDimensionError):
+        mub_basis(6, index)
