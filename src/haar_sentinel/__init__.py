@@ -4,21 +4,12 @@ __version__ = "0.1.0"
 
 from .dirichlet import (
     DirichletParams,
-    SimplexPoint,
-    aggregate,
     dirichlet_mixed_moment,
-    sample_dirichlet,
-    sample_dirichlet_array,
 )
 from .ensembles import (
     EnsembleSpec,
-    StateVector,
-    counterexample_state,
-    expectation,
-    expectation_rotated,
     generate_expectation_samples,
     natural_assignment,
-    sample_haar_state,
 )
 from .haar_moments import (
     MomentBounds,
@@ -46,25 +37,19 @@ from .spectrum import (
     make_spectrum,
     number_operator,
     number_operator_assignment,
-    projector_difference,
     trace,
 )
 from .verify import (
-    AlphaPairwiseCheck,
     MomentEstimate,
-    PermutationDispersion,
     RandomnessReport,
-    alpha_pairwise_check,
     average_randomness,
     estimate_moment,
     load_samples,
     mub_randomness,
-    permutation_dispersion,
     permutation_randomness,
 )
 
 __all__ = [
-    "AlphaPairwiseCheck",
     "DirichletParams",
     "EigenAssignment",
     "EnsembleSpec",
@@ -74,24 +59,16 @@ __all__ = [
     "MubBasis",
     "MubSet",
     "Permutation",
-    "PermutationDispersion",
     "RandomnessReport",
-    "SimplexPoint",
     "Spectrum",
-    "StateVector",
     "UnsupportedDimensionError",
-    "aggregate",
-    "alpha_pairwise_check",
     "apply_permutation",
     "average_randomness",
     "check_mub",
-    "counterexample_state",
     "dirichlet_mixed_moment",
     "estimate_moment",
     "exact_moment",
     "expand",
-    "expectation",
-    "expectation_rotated",
     "generate_expectation_samples",
     "haar_variance",
     "load_samples",
@@ -103,13 +80,8 @@ __all__ = [
     "natural_assignment",
     "number_operator",
     "number_operator_assignment",
-    "permutation_dispersion",
     "permutation_randomness",
-    "projector_difference",
     "required_samples",
-    "sample_dirichlet",
-    "sample_dirichlet_array",
-    "sample_haar_state",
     "sampling_error_bound",
     "trace",
 ]

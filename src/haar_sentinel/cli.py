@@ -50,6 +50,8 @@ def _check_orders(orders: Sequence[int]) -> None:
         raise InputError("no t orders given")
     if min(orders) < 1:
         raise InputError(f"t orders must be positive integers, got {min(orders)}")
+    if len(set(orders)) != len(orders):
+        raise InputError(f"t orders must be distinct, got {list(orders)}")
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,14 @@ class CampaignConfig:
     samples_path: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.tiers, (list, tuple)) or not self.tiers:
+            raise InputError(f"tiers must be a non-empty list of tier names, got {self.tiers!r}")
         for tier in self.tiers:
             if tier not in _TIER_TAGS:
                 raise InputError(f"unknown tier {tier!r}")
+        if len(set(self.tiers)) != len(self.tiers):
+            raise InputError(f"tiers must be distinct, got {list(self.tiers)}")
+        object.__setattr__(self, "tiers", tuple(self.tiers))
         _check_orders(self.orders)
         if not (isfinite(self.epsilon) and self.epsilon > 0):
             raise InputError(f"epsilon must be a finite positive number, got {self.epsilon}")
@@ -124,7 +131,7 @@ def load_campaign(path: str, workers_override: Optional[int] = None) -> Campaign
             spectrum=_load_spectrum(d["spectrum"]),
             ensemble=(_load_ensemble(d["ensemble"], default_seed=seed)
                       if "ensemble" in d else None),
-            tiers=tuple(d.get("tiers", ["observable"])),
+            tiers=d.get("tiers", ["observable"]),
             orders=tuple(int(t) for t in orders),
             epsilon=float(d["epsilon"]),
             m_samples=int(budgets.get("M", 10_000)),
@@ -359,10 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_MUB
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

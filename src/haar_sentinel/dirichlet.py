@@ -1,9 +1,12 @@
-"""Dirichlet distribution engine: sampling, exact mixed moments, aggregation.
+"""Dirichlet parameters and their exact mixed moments.
 
 The Dirichlet family is the backbone of every closed form in this package:
-squared amplitudes of uniformly random states live on the probability simplex,
-and grouping coordinates by eigenvalue turns the symmetric case into the
-general one with parameters proportional to multiplicities.
+the squared amplitudes of a uniformly random state are Dirichlet(1/2, ...,
+1/2) on the probability simplex, and grouping coordinates by eigenvalue turns
+the symmetric case into the general one with parameters proportional to
+multiplicities.  The ensembles sample these laws from the counter-based
+streams (ensembles.generate_probe_samples); this module validates their
+parameters and gives the exact moments that those samples are checked against.
 """
 
 from __future__ import annotations
@@ -35,45 +38,6 @@ class DirichletParams:
         return len(self.alpha)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A point on the standard simplex: non-negative coordinates summing to 1."""
-
-    x: tuple[float, ...]
-
-    def __post_init__(self):
-        for v in self.x:
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"coordinate {v} is negative or not finite")
-        total = fsum(self.x)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"coordinates sum to {total}, not 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.x)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
-
-
-def sample_dirichlet(params: DirichletParams, rng: np.random.Generator) -> SimplexPoint:
-    """One draw: normalize independent Gamma(alpha_i, 1) variates."""
-    g = rng.gamma(shape=np.asarray(params.alpha))
-    total = g.sum()
-    if total == 0.0:
-        # all components underflowed; retry (probability is astronomically small)
-        return sample_dirichlet(params, rng)
-    return SimplexPoint(tuple(float(v) for v in g / total))
-
-
-def sample_dirichlet_array(params: DirichletParams, rng: np.random.Generator,
-                           size: int) -> np.ndarray:
-    """Batch of draws as a (size, dim) array; rows sum to 1."""
-    g = rng.gamma(shape=np.asarray(params.alpha), size=(size, params.dim))
-    return g / g.sum(axis=1, keepdims=True)
-
-
 def dirichlet_mixed_moment(params: DirichletParams, k: Sequence[int]) -> float:
     """Exact mixed moment E[prod_i x_i^(k_i)] for non-negative integer orders.
 
@@ -92,20 +56,3 @@ def dirichlet_mixed_moment(params: DirichletParams, k: Sequence[int]) -> float:
             log_val += lgamma(a + ki) - lgamma(a)
     return exp(log_val)
 
-
-def aggregate(params: DirichletParams, partition: Sequence[Sequence[int]]) -> DirichletParams:
-    """Sum alpha over groups of a set partition of the coordinate indices.
-
-    Summing Dirichlet coordinates over each group yields a Dirichlet vector
-    with exactly these summed parameters, so this is the distribution-level
-    counterpart of coordinate grouping.
-    """
-    seen = [False] * params.dim
-    for group in partition:
-        for i in group:
-            if not 0 <= i < params.dim or seen[i]:
-                raise ValueError("partition must cover each index exactly once")
-            seen[i] = True
-    if not all(seen):
-        raise ValueError("partition must cover all indices")
-    return DirichletParams(tuple(fsum(params.alpha[i] for i in group) for group in partition))

@@ -15,8 +15,10 @@ Four ensemble kinds are supported:
 - ``dirichlet_amplitudes``: real non-negative amplitudes whose squares follow
   a caller-specified Dirichlet law.
 
-Expectation sampling is deterministic per (seed, basis index, permutation
-index, sample index) and independent of worker count; see streams.py.
+Every kind is sampled by one routine, generate_probe_samples: it draws the
+states of one seed-tree stream and measures each by a list of probes.  The
+values are deterministic per (seed, basis index, permutation index, sample
+index) and independent of worker count; see streams.py.
 """
 
 from __future__ import annotations
@@ -40,30 +42,6 @@ from .spectrum import (
 )
 
 ENSEMBLE_KINDS = ("haar", "counterexample", "fixed_basis_state", "dirichlet_amplitudes")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """A normalized pure state over the computational basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        norm_sq = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state norm^2 = {norm_sq}, not 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.amplitudes)
-
-    def masses(self) -> np.ndarray:
-        """Squared amplitudes: the measurement distribution in this basis."""
-        a = self.amplitudes
-        return a.real**2 + a.imag**2
 
 
 @dataclass(frozen=True)
@@ -135,44 +113,6 @@ def counterexample_alphas(n: int) -> tuple[float, ...]:
     return tuple(comb(n, k) / 2.0 for k in range(n + 1))
 
 
-def sample_haar_state(n_dim: int, rng: np.random.Generator) -> StateVector:
-    """One uniformly random state in the Dirichlet(1/2) squared-amplitude convention.
-
-    A spherically symmetric real Gaussian vector is normalized; its squared
-    coordinates are then Dirichlet(1/2, ..., 1/2).  (A complex Ginibre vector
-    would instead give Dirichlet(1, ..., 1) masses, which is inconsistent
-    with the half-integer moment formulas this package verifies against.)
-    """
-    if not 2 <= n_dim <= MAX_DIMENSION:
-        raise ValueError(f"dimension {n_dim} outside supported range 2..{MAX_DIMENSION}")
-    g = rng.standard_normal(n_dim)
-    while True:
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            break
-        g = rng.standard_normal(n_dim)
-    return StateVector((g / norm).astype(complex))
-
-
-def counterexample_state(n: int, rng: np.random.Generator) -> StateVector:
-    """One state of the adversarial excitation-counter family on n qubits."""
-    if not 1 <= n <= 20:
-        raise ValueError(f"qubit count {n} outside supported range 1..20")
-    alphas = np.asarray(counterexample_alphas(n))
-    g = rng.gamma(shape=alphas)
-    p = g / g.sum()
-    amps = np.zeros(2**n, dtype=complex)
-    amps[counterexample_support(n)] = np.sqrt(p)
-    return StateVector(amps)
-
-
-def expectation(psi: StateVector, a: EigenAssignment) -> float:
-    """<psi| O |psi> for the diagonal observable with assignment a."""
-    if psi.dimension != a.dimension:
-        raise ValueError(f"state dimension {psi.dimension} != assignment dimension {a.dimension}")
-    return float(psi.masses() @ a.as_array())
-
-
 def _validate_unitary(basis: np.ndarray, n_dim: int) -> np.ndarray:
     u = np.asarray(basis, dtype=complex)
     if u.shape != (n_dim, n_dim):
@@ -190,17 +130,6 @@ def _basis_matrix(basis, n_dim: int) -> np.ndarray:
             raise ValueError(f"basis dimension {basis.dimension} does not match dimension {n_dim}")
         return basis.matrix
     return _validate_unitary(basis, n_dim)
-
-
-def expectation_rotated(psi: StateVector, a: EigenAssignment, basis: np.ndarray) -> float:
-    """Expectation after measuring in the columns of ``basis``.
-
-    Equals expectation(basis^dagger psi, a): entry i of the rotated state is
-    the overlap of basis column i with psi.
-    """
-    u = _basis_matrix(basis, psi.dimension)
-    rotated = u.conj().T @ psi.amplitudes
-    return float((rotated.real**2 + rotated.imag**2) @ a.as_array())
 
 
 def natural_assignment(spec: EnsembleSpec, s: Spectrum) -> EigenAssignment:
@@ -222,13 +151,6 @@ def natural_assignment(spec: EnsembleSpec, s: Spectrum) -> EigenAssignment:
     if s.dimension != spec.dimension:
         raise ValueError(f"spectrum dimension {s.dimension} != ensemble dimension {spec.dimension}")
     return expand(s)
-
-
-def _haar_mass_chunk(key: int, start: int, count: int, n_dim: int) -> np.ndarray:
-    z = streams.standard_normals(key, start * n_dim, count * n_dim).reshape(count, n_dim)
-    g = np.square(z, out=z)
-    g /= g.sum(axis=1, keepdims=True)
-    return g
 
 
 def _quadratic_form(basis: np.ndarray, support, diag: np.ndarray) -> np.ndarray:
@@ -348,28 +270,3 @@ def generate_expectation_samples(
     """
     return generate_probe_samples(spec, [(a, basis)], m_samples, stream, workers)[:, 0]
 
-
-def haar_mass_samples(n_dim: int, seed: int, m_samples: int,
-                      stream: tuple[int, int] = (0, 0), workers: int = 1) -> np.ndarray:
-    """(M, N) squared-amplitude vectors of uniformly random states.
-
-    Same stream addressing as generate_expectation_samples with a haar spec.
-    """
-    key = streams.stream_key(seed, *stream)
-    return streams.chunked_samples(
-        m_samples, lambda s0, c: _haar_mass_chunk(key, s0, c, n_dim), workers
-    ).reshape(m_samples, n_dim)
-
-
-def counterexample_group_masses(n: int, seed: int, m_samples: int,
-                                stream: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """(M, n+1) squared amplitudes of the adversarial family on its support."""
-    key = streams.stream_key(seed, *stream)
-    alphas = counterexample_alphas(n)
-
-    def compute(s0, c):
-        g = streams.halfint_gamma_matrix(key, s0, c, alphas)
-        g /= g.sum(axis=1, keepdims=True)
-        return g
-
-    return streams.chunked_samples(m_samples, compute).reshape(m_samples, n + 1)

@@ -144,14 +144,6 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         return Permutation(np.arange(n))
 
-    @staticmethod
-    def transposition(n: int, i: int, j: int) -> "Permutation":
-        if i == j:
-            raise ValueError("transposition requires two distinct indices")
-        m = np.arange(n)
-        m[[i, j]] = m[[j, i]]
-        return Permutation(m)
-
 
 def make_spectrum(eigenvalues: Sequence[float], multiplicities: Sequence[int]) -> Spectrum:
     """Validate and canonicalize (ascending eigenvalue order) a spectrum."""
@@ -213,21 +205,6 @@ def apply_permutation(a: EigenAssignment, p: Permutation) -> EigenAssignment:
     if a.dimension != p.dimension:
         raise ValueError(f"assignment dimension {a.dimension} != permutation dimension {p.dimension}")
     return EigenAssignment(a.values[p.mapping])
-
-
-def projector_difference(a: EigenAssignment, i: int, j: int) -> np.ndarray:
-    """Diagonal of the observable minus its (i<->j)-transposed conjugate.
-
-    When a[i] = 0 and a[j] is the maximal eigenvalue this is the rank-two
-    operator norm(O) * (|j><j| - |i><i|): exactly two nonzero entries.
-    """
-    n = a.dimension
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("index out of range")
-    if i == j:
-        raise ValueError("indices must differ")
-    swapped = apply_permutation(a, Permutation.transposition(n, i, j))
-    return a.values - swapped.values
 
 
 def random_spectrum(rng: np.random.Generator, max_levels: int = 6,

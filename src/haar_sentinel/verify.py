@@ -46,7 +46,7 @@ from .mub import (
     mub_basis,
     mub_complete_set,  # noqa: F401 -- perfbench/spans.py traces it under this module
 )
-from .spectrum import EigenAssignment, Permutation, Spectrum, apply_permutation, trace
+from .spectrum import EigenAssignment, Permutation, Spectrum, apply_permutation
 
 TIERS = ("observable", "permutation", "mub")
 VERDICTS = ("compatible", "incompatible", "inconclusive")
@@ -108,37 +108,6 @@ class RandomnessReport:
         }
 
 
-@dataclass(frozen=True)
-class PermutationDispersion:
-    """Spread of per-permutation moment estimates around the baseline."""
-
-    t: int
-    per_perm_moments: tuple[float, ...]
-    dispersion: float
-    bound: float
-
-    def __post_init__(self):
-        if self.dispersion < 0:
-            raise ValueError("dispersion is a variance, must be non-negative")
-
-    @property
-    def within_bound(self) -> bool:
-        return self.dispersion <= self.bound
-
-
-@dataclass(frozen=True)
-class AlphaPairwiseCheck:
-    """Deviation of inferred Dirichlet parameters from the multiplicity prediction."""
-
-    statistic: float
-    bound: float
-    inferred_alpha: tuple[float, ...]
-
-    @property
-    def within_bound(self) -> bool:
-        return self.statistic <= self.bound
-
-
 def classify(r_value: float, delta: float, epsilon: float) -> str:
     """Total, mutually exclusive verdict rule on (|R|, delta, epsilon)."""
     if abs(r_value) <= delta:
@@ -163,7 +132,10 @@ def load_samples(path: str, s: Spectrum) -> np.ndarray:
             line = line.strip()
             if not line or (lineno == 1 and line == "sample"):
                 continue
-            value = float(line)
+            try:
+                value = float(line)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: sample {line!r} is not a number") from None
             if not isfinite(value):
                 raise ValueError(f"{path}:{lineno}: sample {line!r} is not finite")
             if not low <= value <= high:
@@ -316,59 +288,6 @@ def permutation_randomness(
              for p_idx in range(m_perm)]
     return _extended_reports("permutation", spec, s, orders, base, units, m_samples, epsilon,
                              workers, [{"M_perm": m_perm} for _ in orders])
-
-
-def permutation_dispersion(
-    per_perm_estimates: Sequence[MomentEstimate],
-    baseline: MomentEstimate,
-    s: Spectrum,
-    t: int,
-    epsilon: float,
-) -> PermutationDispersion:
-    """Variance across permutations of (per-permutation mean - baseline mean).
-
-    A permutation-insensitive ensemble keeps this below 2 epsilon / (Tr O)^2t;
-    spectra rearranged under relabeling blow far past it.
-    """
-    if len(per_perm_estimates) < 2:
-        raise ValueError("need at least two permutation estimates")
-    diffs = np.array([e.mean - baseline.mean for e in per_perm_estimates])
-    return PermutationDispersion(
-        t=t,
-        per_perm_moments=tuple(float(e.mean) for e in per_perm_estimates),
-        dispersion=float(diffs.var(ddof=1)),
-        bound=2.0 * epsilon / trace(s) ** (2 * t),
-    )
-
-
-def alpha_pairwise_check(group_masses: Sequence[float], s: Spectrum,
-                         epsilon: float) -> AlphaPairwiseCheck:
-    """Compare Dirichlet parameters inferred from eigenspace masses to m/2.
-
-    ``group_masses`` are the ensemble-mean squared-amplitude masses per
-    eigenspace.  Scaling them to total N/2 gives inferred parameters
-    alpha_hat; the statistic is the mean squared pairwise deviation of
-    alpha_hat differences from the multiplicity prediction (m_i - m_j)/2,
-    normalized by (N/2)^2, checked against 2 epsilon / (Tr O)^2.
-    """
-    g = np.asarray(group_masses, dtype=float)
-    if g.size != s.levels:
-        raise ValueError(f"got {g.size} group masses for {s.levels} eigenspaces")
-    if s.levels < 2:
-        raise ValueError("pairwise statistic undefined for a single eigenspace")
-    total = g.sum()
-    if total <= 0:
-        raise ValueError("group masses must have positive total")
-    alpha_hat = g / total * (s.dimension / 2.0)
-    m_half = np.asarray(s.multiplicities, dtype=float) / 2.0
-    diffs = (alpha_hat[:, None] - alpha_hat[None, :]) - (m_half[:, None] - m_half[None, :])
-    off_diag = ~np.eye(s.levels, dtype=bool)
-    statistic = float(np.mean(diffs[off_diag] ** 2)) / (s.dimension / 2.0) ** 2
-    return AlphaPairwiseCheck(
-        statistic=statistic,
-        bound=2.0 * epsilon / trace(s) ** 2,
-        inferred_alpha=tuple(float(a) for a in alpha_hat),
-    )
 
 
 def mub_randomness(

@@ -101,6 +101,12 @@ def test_moments_rejects_orders_below_one(tmp_path, capsys, orders, mode):
     assert "t orders" in captured.err
 
 
+def test_moments_rejects_repeated_orders(tmp_path, capsys):
+    path = write_json(tmp_path, "s.json", NUMBER_OP_3)
+    assert main(["moments", "--spectrum", path, "--t", "1,2,1"]) == EXIT_INPUT
+    assert "distinct" in capsys.readouterr().err
+
+
 def test_generate_fixed_state_zero_rows(tmp_path):
     ens = write_json(tmp_path, "e.json", {
         "kind": "fixed_basis_state", "N": 8, "seed": 1,
@@ -510,6 +516,25 @@ def test_samples_file_outside_the_spectrum_range_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_samples_file_with_a_non_number_is_bad_input(tmp_path, capsys):
+    from haar_sentinel.verify import load_samples
+
+    csv = tmp_path / "samples.csv"
+    csv.write_text("sample\n0.5\nabc\n0.25\n")
+    with pytest.raises(ValueError, match=r"samples\.csv:3: sample 'abc' is not a number"):
+        load_samples(str(csv), number_operator(1))
+    cfg = write_json(tmp_path, "c.json", {
+        "spectrum": QUBIT,
+        "samples": str(csv),
+        "tiers": ["observable"],
+        "t": [1],
+        "epsilon": 0.05,
+        "seed": 1,
+    })
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    assert "samples.csv:3: sample 'abc' is not a number" in capsys.readouterr().err
+
+
 def test_load_samples_json_lines(tmp_path):
     from haar_sentinel.verify import load_samples
 
@@ -607,6 +632,23 @@ def test_mub_check_malformed_file_is_bad_input(tmp_path, capsys, payload):
     assert "invalid MUB set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, problem", [
+    ({"tiers": []}, "non-empty list"),
+    ({"tiers": "observable"}, "non-empty list"),
+    ({"tiers": ["observable", "observable"], "t": [1, 1]}, "tiers must be distinct"),
+    ({"tiers": ["observable", "permutation", "observable"]}, "tiers must be distinct"),
+    ({"t": [1, 2, 1]}, "t orders must be distinct"),
+])
+def test_verify_rejects_meaningless_tier_and_order_lists(tmp_path, capsys, overrides, problem):
+    cfg = _campaign(tmp_path, budgets={"M": 100, "M_perm": 2, "M_u": 2}, **overrides)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
 def test_verify_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
     cfg = _campaign(tmp_path, tiers=["permutation"], epsilon=epsilon,
@@ -678,3 +720,18 @@ print(json.dumps([exit_code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss 
     [report] = json.loads(out.read_text())["reports"]
     assert report["verdict"] == "compatible"
     assert peak_mib < 400
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+
+
+@pytest.mark.parametrize("script, args", [
+    ("counterexample_separation.py", ["3", "200", "2", "1"]),
+    ("moment_table.py", ["3", "2", "0.01"]),
+])
+def test_experiment_scripts_run(tmp_path, script, args):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -6,14 +6,15 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, ks_2samp
 
-from haar_sentinel.dirichlet import (
-    DirichletParams,
-    SimplexPoint,
-    aggregate,
-    dirichlet_mixed_moment,
-    sample_dirichlet,
-    sample_dirichlet_array,
-)
+from haar_sentinel.dirichlet import DirichletParams, dirichlet_mixed_moment
+from haar_sentinel.ensembles import EnsembleSpec, generate_probe_samples
+from haar_sentinel.spectrum import EigenAssignment
+
+
+def dirichlet_spec(alpha, seed):
+    """The ensemble whose squared amplitudes are Dirichlet(alpha)."""
+    return EnsembleSpec(kind="dirichlet_amplitudes", dimension=len(alpha), seed=seed,
+                        params={"alpha": list(alpha)})
 
 
 def beta_moment_by_quadrature(a, b, t):
@@ -37,14 +38,6 @@ def test_params_validation():
         DirichletParams((0.5, 0.0))
     with pytest.raises(ValueError):
         DirichletParams(())
-
-
-def test_simplex_point_validation():
-    SimplexPoint((0.25, 0.75))
-    with pytest.raises(ValueError):
-        SimplexPoint((0.5, 0.6))
-    with pytest.raises(ValueError):
-        SimplexPoint((-0.1, 1.1))
 
 
 def test_mixed_moment_trivial_cases():
@@ -80,84 +73,67 @@ def test_first_moment_is_alpha_ratio(alpha, data):
     assert abs(dirichlet_mixed_moment(p, k) - p.alpha[i] / p.alpha0) < 1e-12
 
 
-def test_mixed_moment_against_monte_carlo():
-    # every mixed moment with d <= 4 and |k| <= 4 must agree with simulation
-    rng = np.random.default_rng(2024)
+def test_mixed_moment_against_monte_carlo(one_hot_probes):
+    # mixed moments with d <= 4 and |k| <= 4 agree with the ensembles' samples,
+    # on the half-integer gamma path and (last case) the general one
     cases = [
         ((0.5, 0.5, 1.5, 2.0), (2, 1, 0, 1)),
         ((1.0, 3.0), (2, 2)),
         ((0.5, 0.5, 0.5), (4, 0, 0)),
         ((2.5, 4.0, 1.0), (1, 1, 2)),
+        ((0.7, 1.3, 2.2), (1, 2, 1)),
     ]
-    for alpha, k in cases:
+    for seed, (alpha, k) in enumerate(cases, start=2024):
         p = DirichletParams(alpha)
-        x = sample_dirichlet_array(p, rng, 1_000_000)
+        x = generate_probe_samples(dirichlet_spec(alpha, seed), one_hot_probes(p.dim), 1_000_000)
         prod = np.prod(x ** np.asarray(k), axis=1)
         mc, se = prod.mean(), prod.std(ddof=1) / 1000.0
         exact = dirichlet_mixed_moment(p, k)
         assert abs(exact - mc) < 5 * se, (alpha, k, exact, mc, se)
 
 
-def test_sample_on_simplex():
-    rng = np.random.default_rng(11)
-    p = DirichletParams((0.5, 1.0, 2.0))
-    for _ in range(100):
-        pt = sample_dirichlet(p, rng)
-        assert pt.dim == 3  # construction enforces the simplex invariant
+def test_sample_on_simplex(one_hot_probes):
+    for alpha in ((0.5, 1.0, 2.0), (0.3, 1.7, 4.1)):
+        x = generate_probe_samples(dirichlet_spec(alpha, 11), one_hot_probes(3), 1000)
+        assert np.all(x >= 0.0)
+        assert np.abs(x.sum(axis=1) - 1.0).max() < 1e-12
 
 
-def test_sample_single_component():
-    pt = sample_dirichlet(DirichletParams((2.0,)), np.random.default_rng(0))
-    assert pt.x == (1.0,)
+def test_sample_single_component(one_hot_probes):
+    x = generate_probe_samples(dirichlet_spec((2.0,), 0), one_hot_probes(1), 100)
+    assert np.all(x == 1.0)
 
 
-def test_symmetric_mean():
-    rng = np.random.default_rng(3)
-    x = sample_dirichlet_array(DirichletParams((1.0, 1.0)), rng, 100_000)
+def test_symmetric_mean(one_hot_probes):
+    x = generate_probe_samples(dirichlet_spec((1.0, 1.0), 3), one_hot_probes(2), 100_000)
     se = x[:, 0].std(ddof=1) / np.sqrt(100_000)
     assert abs(x[:, 0].mean() - 0.5) < 3 * se
 
 
-def test_arcsine_marginal_goodness_of_fit():
-    rng = np.random.default_rng(8)
-    x = sample_dirichlet_array(DirichletParams((0.5, 0.5)), rng, 100_000)
+def test_arcsine_marginal_goodness_of_fit(one_hot_probes):
+    x = generate_probe_samples(dirichlet_spec((0.5, 0.5), 8), one_hot_probes(2), 100_000)
     assert kstest(x[:, 0], beta_dist(0.5, 0.5).cdf).pvalue > 0.01
 
 
-def test_aggregate_examples():
-    p = DirichletParams((0.5, 0.5, 0.5, 0.5))
-    assert aggregate(p, [(0,), (1, 2), (3,)]).alpha == (0.5, 1.0, 0.5)
-    assert aggregate(p, [(0,), (1,), (2,), (3,)]) == p
-    assert aggregate(DirichletParams((0.5,) * 8), [tuple(range(8))]).alpha == (4.0,)
-
-
-def test_aggregate_rejects_non_partition():
-    p = DirichletParams((1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        aggregate(p, [(0, 1)])  # missing index
-    with pytest.raises(ValueError):
-        aggregate(p, [(0, 1), (1, 2)])  # duplicated index
-    with pytest.raises(ValueError):
-        aggregate(p, [(0, 1), (2, 3)])  # out of range
-
-
-def test_aggregation_matches_group_sums_in_distribution():
-    # group sums of Dirichlet samples vs direct samples of aggregated params,
-    # two-sample KS per group at significance 0.01
+def test_aggregation_matches_group_sums_in_distribution(one_hot_probes):
+    # group sums of Dirichlet(alpha) masses vs masses of Dirichlet(summed alpha),
+    # two-sample KS per group; these alphas take the general gamma path
     rng = np.random.default_rng(7)
-    for _ in range(5):
+    p_values = []
+    for trial in range(5):
         d = int(rng.integers(3, 9))
-        alpha = tuple(float(a) for a in rng.uniform(0.3, 3.0, size=d))
+        alpha = rng.uniform(0.3, 3.0, size=d)
         n_groups = int(rng.integers(2, d + 1))
         labels = rng.integers(0, n_groups, size=d)
         while len(set(labels.tolist())) < n_groups:
             labels = rng.integers(0, n_groups, size=d)
-        partition = [tuple(int(i) for i in np.flatnonzero(labels == g)) for g in range(n_groups)]
-        p = DirichletParams(alpha)
-        direct = sample_dirichlet_array(aggregate(p, partition), rng, 100_000)
-        summed = np.stack(
-            [sample_dirichlet_array(p, rng, 100_000)[:, list(g)].sum(axis=1) for g in partition],
-            axis=1,
-        )
-        for j in range(n_groups):
-            assert ks_2samp(summed[:, j], direct[:, j]).pvalue > 0.01
+        indicators = [(labels == g).astype(float) for g in range(n_groups)]
+        summed = generate_probe_samples(dirichlet_spec(alpha, 7000 + trial),
+                                        [(EigenAssignment(ind), None) for ind in indicators],
+                                        100_000)
+        direct = generate_probe_samples(dirichlet_spec([ind @ alpha for ind in indicators],
+                                                       7100 + trial),
+                                        one_hot_probes(n_groups), 100_000)
+        p_values += [ks_2samp(summed[:, j], direct[:, j]).pvalue for j in range(n_groups)]
+    # family-wise significance 0.01 over all comparisons
+    assert min(p_values) > 0.01 / len(p_values), sorted(p_values)[:3]

@@ -7,17 +7,11 @@ from haar_sentinel import ensembles, streams
 from haar_sentinel.dirichlet import DirichletParams, dirichlet_mixed_moment
 from haar_sentinel.ensembles import (
     EnsembleSpec,
-    StateVector,
     counterexample_alphas,
-    counterexample_group_masses,
-    counterexample_state,
     counterexample_support,
-    expectation,
-    expectation_rotated,
     generate_expectation_samples,
-    haar_mass_samples,
+    generate_probe_samples,
     natural_assignment,
-    sample_haar_state,
 )
 from haar_sentinel.mub import mub_basis
 from haar_sentinel.spectrum import (
@@ -31,34 +25,40 @@ from haar_sentinel.spectrum import (
 )
 
 
-def test_haar_state_norm():
-    rng = np.random.default_rng(0)
+def test_haar_state_norm(one_hot_probes):
     for n_dim in (2, 5, 64):
-        psi = sample_haar_state(n_dim, rng)
-        assert abs(np.sum(np.abs(psi.amplitudes) ** 2) - 1.0) < 1e-12
+        spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=0)
+        masses = generate_probe_samples(spec, one_hot_probes(n_dim), 1000)
+        assert np.abs(masses.sum(axis=1) - 1.0).max() < 1e-12
 
 
-def test_haar_masses_match_beta_marginals():
+def test_haar_masses_match_beta_marginals(one_hot_probes):
     # squared amplitude of one coordinate follows Beta(1/2, (N-1)/2)
     for n_dim, seed in ((2, 10), (4, 11)):
-        masses = haar_mass_samples(n_dim, seed=seed, m_samples=100_000)
+        spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=seed)
+        masses = generate_probe_samples(spec, one_hot_probes(n_dim), 100_000)
         for j in range(n_dim):
             p = kstest(masses[:, j], beta_dist(0.5, (n_dim - 1) / 2.0).cdf).pvalue
             assert p > 0.01, (n_dim, j, p)
 
 
-def test_haar_state_via_rng_also_matches():
-    rng = np.random.default_rng(123)
-    masses = np.array([sample_haar_state(2, rng).masses() for _ in range(20_000)])
-    assert kstest(masses[:, 0], beta_dist(0.5, 0.5).cdf).pvalue > 0.01
+def test_haar_state_via_rng_also_matches(one_hot_probes):
+    # the per-unit streams that protocol generators pick for the extended
+    # tiers (seed-tree nodes other than (0, 0)) also give the N=2 arcsine law
+    spec = EnsembleSpec(kind="haar", dimension=2, seed=123)
+    for stream in ((1, 3), (2, 7)):
+        masses = generate_probe_samples(spec, one_hot_probes(2), 20_000, stream=stream)
+        assert kstest(masses[:, 0], beta_dist(0.5, 0.5).cdf).pvalue > 0.01, stream
 
 
-def test_counterexample_support_and_sparsity():
-    assert counterexample_support(3).tolist() == [7, 3, 1, 0]
-    psi = counterexample_state(3, np.random.default_rng(4))
-    nonzero = np.flatnonzero(psi.masses() > 0)
-    assert set(nonzero.tolist()) <= {7, 3, 1, 0}
-    assert abs(np.sum(psi.masses()) - 1.0) < 1e-12
+def test_counterexample_support_and_sparsity(one_hot_probes):
+    support = counterexample_support(3)
+    assert support.tolist() == [7, 3, 1, 0]
+    spec = EnsembleSpec(kind="counterexample", dimension=8, seed=4, params={"n": 3})
+    masses = generate_probe_samples(spec, one_hot_probes(8), 1000)
+    assert np.all(np.delete(masses, support, axis=1) == 0.0)
+    assert np.all(masses[:, support] > 0.0)
+    assert np.abs(masses.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_counterexample_mean_expectation_matches_haar():
@@ -71,9 +71,11 @@ def test_counterexample_mean_expectation_matches_haar():
     assert abs(values.mean() - 1.5) < 4 * se
 
 
-def test_counterexample_group_masses_match_dirichlet_moments():
+def test_counterexample_group_masses_match_dirichlet_moments(one_hot_probes):
     n = 4
-    masses = counterexample_group_masses(n, seed=99, m_samples=100_000)
+    spec = EnsembleSpec(kind="counterexample", dimension=2**n, seed=99, params={"n": n})
+    masses = generate_probe_samples(spec, one_hot_probes(2**n), 100_000)
+    masses = masses[:, counterexample_support(n)]
     params = DirichletParams(counterexample_alphas(n))
     for k_index in range(n + 1):
         for order in (1, 2):
@@ -87,40 +89,31 @@ def test_counterexample_group_masses_match_dirichlet_moments():
 
 def test_expectation_examples():
     a = EigenAssignment((0.0, 1.0))
-    ket0 = StateVector(np.array([1.0, 0.0], dtype=complex))
-    plus = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
-    assert expectation(ket0, a) == 0.0
-    assert expectation(plus, a) == pytest.approx(0.5)
+    for index, value in ((0, 0.0), (1, 1.0)):
+        ket = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=0,
+                           params={"basis_index": index})
+        assert generate_expectation_samples(ket, a, None, 5).tolist() == [value] * 5
     const = EigenAssignment((2.5, 2.5, 2.5))
-    psi = sample_haar_state(3, np.random.default_rng(1))
-    assert expectation(psi, const) == pytest.approx(2.5)
+    haar = EnsembleSpec(kind="haar", dimension=3, seed=1)
+    values = generate_expectation_samples(haar, const, None, 100)
+    assert np.abs(values - 2.5).max() < 1e-12
 
 
 def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        expectation(StateVector(np.array([1.0, 0.0], dtype=complex)), EigenAssignment((1.0,)))
-
-
-def test_expectation_global_phase_invariance():
-    rng = np.random.default_rng(9)
-    a = expand(number_operator(2))
-    psi = sample_haar_state(4, rng)
-    base = expectation(psi, a)
-    for theta in (0.3, 1.2, 4.0):
-        shifted = StateVector(psi.amplitudes * np.exp(1j * theta))
-        assert abs(expectation(shifted, a) - base) < 1e-12
+    spec = EnsembleSpec(kind="haar", dimension=2, seed=1)
+    with pytest.raises(ValueError, match="dimension"):
+        generate_expectation_samples(spec, EigenAssignment((1.0,)), None, 10)
 
 
 def test_expectation_rotated():
-    a = EigenAssignment((0.0, 1.0))
-    ket0 = StateVector(np.array([1.0, 0.0], dtype=complex))
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    assert expectation_rotated(ket0, a, np.eye(2)) == expectation(ket0, a)
-    assert expectation_rotated(ket0, a, hadamard) == pytest.approx(0.5)
-    const = EigenAssignment((3.0, 3.0))
-    assert expectation_rotated(ket0, const, hadamard) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        expectation_rotated(ket0, a, np.array([[1, 1], [0, 1]], dtype=complex))
+    # the identity basis changes nothing; a constant observable stays constant
+    spec = EnsembleSpec(kind="haar", dimension=4, seed=9)
+    a = expand(number_operator(2))
+    plain = generate_expectation_samples(spec, a, None, 500)
+    assert np.abs(generate_expectation_samples(spec, a, np.eye(4), 500) - plain).max() < 1e-13
+    const = EigenAssignment((3.0,) * 4)
+    values = generate_expectation_samples(spec, const, mub_basis(4, 1).matrix, 500)
+    assert np.abs(values - 3.0).max() < 1e-13
 
 
 def test_fixed_basis_state_samples_are_constant():
@@ -178,8 +171,9 @@ def test_rotated_sampling_matches_single_state_path():
                         params={"basis_index": 0})
     a = EigenAssignment((0.0, 1.0))
     values = generate_expectation_samples(spec, a, hadamard, 10)
-    ket0 = StateVector(np.array([1.0, 0.0], dtype=complex))
-    assert np.allclose(values, expectation_rotated(ket0, a, hadamard))
+    ket0 = np.array([[1.0, 0.0]])
+    assert np.allclose(values, _complex_reference(ket0, hadamard, a.as_array()))
+    assert values[0] == pytest.approx(0.5)
 
 
 def test_dirichlet_amplitudes_kind():

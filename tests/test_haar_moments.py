@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from haar_sentinel.ensembles import haar_mass_samples
+from haar_sentinel.ensembles import EnsembleSpec, generate_probe_samples
 from haar_sentinel.haar_moments import (
     composition_count,
     exact_moment,
@@ -125,8 +125,9 @@ def test_exact_moment_order_zero():
     assert exact_moment(QUBIT, 0).value == 1.0
 
 
-def test_exact_moment_against_monte_carlo_oracle():
-    masses = haar_mass_samples(8, seed=505, m_samples=200_000)
+def test_exact_moment_against_monte_carlo_oracle(one_hot_probes):
+    spec = EnsembleSpec(kind="haar", dimension=8, seed=505)
+    masses = generate_probe_samples(spec, one_hot_probes(8), 200_000)
     values = masses @ expand(THREE_QUBIT_COUNTER).as_array()
     for t in (1, 2, 3, 4):
         powered = values**t

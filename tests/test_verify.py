@@ -6,25 +6,22 @@ from hypothesis import strategies as st
 from haar_sentinel.ensembles import (
     EnsembleSpec,
     generate_expectation_samples,
-    haar_mass_samples,
+    generate_probe_samples,
     natural_assignment,
 )
 from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
 from haar_sentinel.mub import UnsupportedDimensionError
 from haar_sentinel.spectrum import (
     Permutation,
-    apply_permutation,
     expand,
     make_spectrum,
     number_operator,
 )
 from haar_sentinel.verify import (
-    alpha_pairwise_check,
     average_randomness,
     classify,
     estimate_moment,
     mub_randomness,
-    permutation_dispersion,
     permutation_randomness,
 )
 
@@ -62,8 +59,9 @@ def test_estimate_moment_recomputation_identity():
         assert est.variance == pytest.approx(corrected, rel=1e-10)
 
 
-def test_estimate_moment_against_exact_second_moment():
-    masses = haar_mass_samples(2, seed=14, m_samples=100_000)
+def test_estimate_moment_against_exact_second_moment(one_hot_probes):
+    spec = EnsembleSpec(kind="haar", dimension=2, seed=14)
+    masses = generate_probe_samples(spec, one_hot_probes(2), 100_000)
     values = masses @ np.array([0.0, 1.0])
     est = estimate_moment(values, 2)
     assert abs(est.mean - 0.375) < 3 * est.stderr
@@ -157,71 +155,21 @@ def test_permutation_tier_counterexample_incompatible():
     assert average_randomness(samples, s, 1, epsilon=0.01).verdict == "compatible"
 
 
-def _per_perm_estimates(spec, s, t, n_perms, m_samples, rng):
-    base = natural_assignment(spec, s)
-    estimates = []
-    for p_idx in range(n_perms):
-        perm = Permutation(tuple(int(x) for x in rng.permutation(base.dimension)))
-        values = generate_expectation_samples(
-            spec, apply_permutation(base, perm), None, m_samples, stream=(0, p_idx)
-        )
-        estimates.append(estimate_moment(values, t))
-    return estimates
-
-
-def test_permutation_dispersion_zero_for_identical_means():
-    est = estimate_moment([1.0, 2.0, 3.0], 1)
-    disp = permutation_dispersion([est, est, est], est, QUBIT, 1, 0.01)
-    assert disp.dispersion == 0.0
-    assert disp.within_bound
-
-
 def test_permutation_dispersion_separates_haar_from_counterexample():
+    # per-permutation deviations stay inside delta for Haar and blow far past
+    # it for the counterexample, whose spectrum relabeling rearranges
     n = 4
     s = number_operator(n)
-    rng = np.random.default_rng(55)
     haar = EnsembleSpec(kind="haar", dimension=2**n, seed=70)
-    base_samples = generate_expectation_samples(haar, expand(s), None, 10_000)
-    baseline = estimate_moment(base_samples, 1)
-    ests = _per_perm_estimates(haar, s, 1, 10, 10_000, rng)
-    disp = permutation_dispersion(ests, baseline, s, 1, epsilon=0.01)
-    assert disp.within_bound
+    [report] = permutation_randomness(haar, s, [1], 10, 10_000, 0.01, [np.random.default_rng(55)])
+    assert report.verdict == "compatible"
+    assert abs(report.R) <= report.delta
 
     ce = EnsembleSpec(kind="counterexample", dimension=2**n, seed=71, params={"n": n})
-    ce_samples = generate_expectation_samples(ce, natural_assignment(ce, s), None, 10_000)
-    ce_baseline = estimate_moment(ce_samples, 1)
-    ce_ests = _per_perm_estimates(ce, s, 1, 10, 10_000, rng)
-    ce_disp = permutation_dispersion(ce_ests, ce_baseline, s, 1, epsilon=0.01)
-    assert not ce_disp.within_bound
-    assert ce_disp.dispersion > 100 * ce_disp.bound
-
-
-def test_permutation_dispersion_needs_two_estimates():
-    est = estimate_moment([1.0, 2.0], 1)
-    with pytest.raises(ValueError):
-        permutation_dispersion([est], est, QUBIT, 1, 0.01)
-
-
-def test_alpha_pairwise_check_haar_under_bound():
-    s = number_operator(3)
-    masses = haar_mass_samples(8, seed=17, m_samples=100_000)
-    bounds = np.cumsum((0,) + s.multiplicities)
-    group = [masses[:, bounds[i]:bounds[i + 1]].sum(axis=1).mean() for i in range(s.levels)]
-    check = alpha_pairwise_check(group, s, epsilon=0.01)
-    assert check.within_bound
-    assert np.allclose(check.inferred_alpha, np.array(s.multiplicities) / 2.0, atol=0.05)
-
-
-def test_alpha_pairwise_check_concentrated_ensemble_flagged():
-    s = number_operator(3)
-    group = [1.0, 0.0, 0.0, 0.0]  # everything in one eigenspace
-    check = alpha_pairwise_check(group, s, epsilon=0.01)
-    assert not check.within_bound
-
-
-def test_alpha_pairwise_check_single_eigenspace_error():
-    with pytest.raises(ValueError):
-        alpha_pairwise_check([1.0], make_spectrum((2.0,), (4,)), 0.01)
+    [ce_report] = permutation_randomness(ce, s, [1], 10, 10_000, 0.01,
+                                         [np.random.default_rng(55)])
+    assert ce_report.verdict == "incompatible"
+    assert abs(ce_report.R) > 10 * ce_report.delta
 
 
 def test_mub_tier_haar_compatible():
