@@ -7,13 +7,15 @@ copy the uniform measure's eigenspace statistics exactly.  Probed through the
 unpermuted observable it is indistinguishable from uniform randomness; probed
 through random eigenbasis permutations it is flagged immediately.
 
+Trial k samples the ensemble at seed 1000 + k; its permutation tier draws the
+permutations from campaign seed 5000 + k, exactly as a `verify` campaign with
+that seed would.
+
 Usage: python scripts/counterexample_separation.py [n] [M] [M_perm] [trials]
 """
 
 import sys
 import time
-
-import numpy as np
 
 from haar_sentinel.ensembles import (
     EnsembleSpec,
@@ -46,8 +48,7 @@ def main(argv):
         )
         obs = average_randomness(samples, s, 1, epsilon)
         [perm] = permutation_randomness(
-            spec, s, [1], m_perm, m_samples, epsilon,
-            [np.random.default_rng(5000 + trial)],
+            spec, s, [1], m_perm, m_samples, epsilon, seed=5000 + trial,
         )
         tallies["observable"] += obs.verdict == "compatible"
         tallies["permutation"] += perm.verdict == "incompatible"

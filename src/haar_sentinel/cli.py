@@ -20,24 +20,24 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Optional, Sequence
 
-import numpy as np
-from numpy.random import Philox
-
 from . import __version__
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
 from .haar_moments import exact_moment, moment_bounds
-from .mub import MubSet, UnsupportedDimensionError, check_mub, mub_complete_set
-from .spectrum import Spectrum
-from .streams import stream_key, substream_id
-from .verify import average_randomness, load_samples, mub_randomness, permutation_randomness
+from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
+from .spectrum import Spectrum, require_int
+from .verify import (
+    TIERS,
+    average_randomness,
+    load_samples,
+    mub_randomness,
+    permutation_randomness,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED_MUB = 4
 EXIT_INCOMPATIBLE = 10
 EXIT_INCONCLUSIVE = 11
-
-_TIER_TAGS = {"observable": 1, "permutation": 2, "mub": 3}
 
 
 class InputError(Exception):
@@ -72,7 +72,7 @@ class CampaignConfig:
         if not isinstance(self.tiers, (list, tuple)) or not self.tiers:
             raise InputError(f"tiers must be a non-empty list of tier names, got {self.tiers!r}")
         for tier in self.tiers:
-            if tier not in _TIER_TAGS:
+            if tier not in TIERS:
                 raise InputError(f"unknown tier {tier!r}")
         if len(set(self.tiers)) != len(self.tiers):
             raise InputError(f"tiers must be distinct, got {list(self.tiers)}")
@@ -122,24 +122,26 @@ def _load_ensemble(source, default_seed: Optional[int] = None) -> EnsembleSpec:
 def load_campaign(path: str, workers_override: Optional[int] = None) -> CampaignConfig:
     d = _load_json(path)
     try:
-        seed = int(d["seed"])
+        seed = require_int(d["seed"], "seed")
         orders = d.get("t", 1)
-        if isinstance(orders, int):
+        if not isinstance(orders, list):
             orders = [orders]
         budgets = d.get("budgets", {})
+        if not isinstance(budgets, dict):
+            raise InputError(f"budgets must be an object, got {budgets!r}")
         cfg = CampaignConfig(
             spectrum=_load_spectrum(d["spectrum"]),
             ensemble=(_load_ensemble(d["ensemble"], default_seed=seed)
                       if "ensemble" in d else None),
             tiers=d.get("tiers", ["observable"]),
-            orders=tuple(int(t) for t in orders),
+            orders=tuple(require_int(t, "t") for t in orders),
             epsilon=float(d["epsilon"]),
-            m_samples=int(budgets.get("M", 10_000)),
-            m_perm=int(budgets.get("M_perm", 1)),
-            m_u=int(budgets.get("M_u", 1)),
+            m_samples=require_int(budgets.get("M", 10_000), "M"),
+            m_perm=require_int(budgets.get("M_perm", 1), "M_perm"),
+            m_u=require_int(budgets.get("M_u", 1), "M_u"),
             seed=seed,
             workers=(workers_override if workers_override is not None
-                     else int(d.get("workers", 1))),
+                     else require_int(d.get("workers", 1), "workers")),
             samples_path=d.get("samples"),
         )
     except InputError:
@@ -161,13 +163,6 @@ def _parse_orders(expr: str) -> list[int]:
         raise InputError(f"cannot parse order list {expr!r} (use '1..4' or '1,2,3')") from exc
     _check_orders(orders)
     return orders
-
-
-def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
-    """Stream for protocol-level draws (permutations, basis picks)."""
-    return np.random.Generator(
-        Philox(key=stream_key(seed, _TIER_TAGS[tier], substream_id(t, 0x70726F74)))
-    )
 
 
 def _observable_reports(cfg: CampaignConfig) -> list:
@@ -195,17 +190,15 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
     for tier in cfg.tiers:
         if tier == "observable":
             by_tier[tier] = _observable_reports(cfg)
-            continue
-        rngs = [_protocol_rng(cfg.seed, tier, t) for t in cfg.orders]
-        if tier == "permutation":
+        elif tier == "permutation":
             by_tier[tier] = permutation_randomness(
                 cfg.ensemble, cfg.spectrum, cfg.orders, cfg.m_perm, cfg.m_samples,
-                cfg.epsilon, rngs, workers=cfg.workers,
+                cfg.epsilon, cfg.seed, workers=cfg.workers,
             )
         else:
             by_tier[tier] = mub_randomness(
                 cfg.ensemble, cfg.spectrum, cfg.orders, cfg.m_u, cfg.m_perm,
-                cfg.m_samples, cfg.epsilon, rngs, workers=cfg.workers,
+                cfg.m_samples, cfg.epsilon, cfg.seed, workers=cfg.workers,
             )
     return [by_tier[tier][k].to_json_dict()
             for k in range(len(cfg.orders)) for tier in cfg.tiers]
@@ -303,14 +296,10 @@ def _cmd_mub(args) -> int:
         mubs = MubSet.from_json_dict(_load_json(args.file))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid MUB set: {exc}") from exc
-    worst = 0.0
-    for i in range(len(mubs.bases)):
-        for j in range(i + 1, len(mubs.bases)):
-            result = check_mub(mubs.bases[i], mubs.bases[j])
-            worst = max(worst, result.max_deviation)
-            if not result.unbiased:
-                print(f"bases {i} and {j} are NOT unbiased (deviation {result.max_deviation:.2e})")
-                return EXIT_INPUT
+    i, j, worst = mubs.worst_pair()
+    if worst > UNBIASED_TOL:
+        print(f"bases {i} and {j} are NOT unbiased (deviation {worst:.2e})")
+        return EXIT_INPUT
     print(f"{len(mubs.bases)} bases pairwise unbiased, worst deviation {worst:.2e}")
     return EXIT_OK
 

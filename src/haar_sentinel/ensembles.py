@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .spectrum import (
     expand,
     number_operator,
     number_operator_assignment,
+    require_int,
 )
 
 ENSEMBLE_KINDS = ("haar", "counterexample", "fixed_basis_state", "dirichlet_amplitudes")
@@ -67,7 +69,7 @@ class EnsembleSpec:
                 raise ValueError(f"counterexample dimension must be 2^{n} = {2**n}")
         elif self.kind == "fixed_basis_state":
             b = self.params.get("basis_index")
-            if not isinstance(b, (int, np.integer)) or not 0 <= b < self.dimension:
+            if isinstance(b, bool) or not isinstance(b, Integral) or not 0 <= b < self.dimension:
                 raise ValueError(f"fixed_basis_state needs an integer basis_index in 0..N-1, "
                                  f"got {b!r}")
         elif self.kind == "dirichlet_amplitudes":
@@ -89,15 +91,15 @@ class EnsembleSpec:
         kind = d["kind"]
         params = dict(d.get("params", {}))
         if "n" in d:
-            params.setdefault("n", int(d["n"]))
-        if "n" in params and "N" not in d:
-            dim = 2 ** int(params["n"])
-        else:
-            dim = int(d["N"])
+            params.setdefault("n", d["n"])
+        if "n" in params:
+            params["n"] = require_int(params["n"], "n")
+        dim = 2 ** params["n"] if "n" in params and "N" not in d else require_int(d["N"], "N")
         seed = d.get("seed", default_seed)
         if seed is None:
             raise ValueError("ensemble spec needs a seed")
-        return EnsembleSpec(kind=kind, dimension=dim, seed=int(seed), params=params)
+        return EnsembleSpec(kind=kind, dimension=dim, seed=require_int(seed, "seed"),
+                            params=params)
 
 
 def counterexample_support(n: int) -> np.ndarray:
@@ -111,25 +113,6 @@ def counterexample_support(n: int) -> np.ndarray:
 
 def counterexample_alphas(n: int) -> tuple[float, ...]:
     return tuple(comb(n, k) / 2.0 for k in range(n + 1))
-
-
-def _validate_unitary(basis: np.ndarray, n_dim: int) -> np.ndarray:
-    u = np.asarray(basis, dtype=complex)
-    if u.shape != (n_dim, n_dim):
-        raise ValueError(f"basis shape {u.shape} does not match dimension {n_dim}")
-    dev = np.abs(u.conj().T @ u - np.eye(n_dim)).max()
-    if dev > 1e-10:
-        raise ValueError(f"basis is not unitary (deviation {dev:.2e})")
-    return u
-
-
-def _basis_matrix(basis, n_dim: int) -> np.ndarray:
-    """The unitary of a basis: a MubBasis was checked when built, a raw matrix is checked here."""
-    if isinstance(basis, MubBasis):
-        if basis.dimension != n_dim:
-            raise ValueError(f"basis dimension {basis.dimension} does not match dimension {n_dim}")
-        return basis.matrix
-    return _validate_unitary(basis, n_dim)
 
 
 def natural_assignment(spec: EnsembleSpec, s: Spectrum) -> EigenAssignment:
@@ -167,7 +150,7 @@ def _quadratic_form(basis: np.ndarray, support, diag: np.ndarray) -> np.ndarray:
 
 def generate_probe_samples(
     spec: EnsembleSpec,
-    probes: Sequence[tuple[EigenAssignment, Optional[np.ndarray]]],
+    probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
     m_samples: int,
     stream: tuple[int, int] = (0, 0),
     workers: int = 1,
@@ -176,13 +159,13 @@ def generate_probe_samples(
 
     A probe is an (assignment, basis or None) pair; column k holds
     <psi_i|O_k|psi_i> with O_k the diagonal observable of assignment k,
-    rotated into the columns of basis k when one is given.  A MubBasis is
-    taken as checked; a raw matrix must be unitary to 1e-10.  ``stream`` is
-    the (basis index, permutation index) node of the seed tree; sample i draws
-    from the fixed word range of that node's Philox stream, so column k is
-    bit-identical to a one-probe call and never depends on chunking or
-    ``workers``.  Each chunk's states are drawn once and measured by every
-    probe, and only the chunk is held: memory is O(chunk * N + M * P).
+    rotated into the columns of basis k when one is given (a MubBasis, checked
+    unitary when it was built).  ``stream`` is the (basis index, permutation
+    index) node of the seed tree; sample i draws from the fixed word range of
+    that node's Philox stream, so column k is bit-identical to a one-probe
+    call and never depends on chunking or ``workers``.  Each chunk's states
+    are drawn once and measured by every probe, and only the chunk is held:
+    memory is O(chunk * N + M * P).
 
     Every kind has real amplitudes, so a rotated probe is one real quadratic
     form on the state's support S, formed once per call: a chunk of c states
@@ -196,8 +179,11 @@ def generate_probe_samples(
         if a.dimension != spec.dimension:
             raise ValueError(f"assignment dimension {a.dimension} != "
                              f"ensemble dimension {spec.dimension}")
+        if basis is not None and basis.dimension != spec.dimension:
+            raise ValueError(f"basis dimension {basis.dimension} does not match "
+                             f"dimension {spec.dimension}")
         diags.append(a.as_array())
-        bases.append(None if basis is None else _basis_matrix(basis, spec.dimension))
+        bases.append(None if basis is None else basis.matrix)
     key = streams.stream_key(spec.seed, *stream)
     plain = any(u is None for u in bases)
     rotated = any(u is not None for u in bases)
@@ -259,7 +245,7 @@ def generate_probe_samples(
 def generate_expectation_samples(
     spec: EnsembleSpec,
     a: EigenAssignment,
-    basis: Optional[np.ndarray] = None,
+    basis: Optional[MubBasis] = None,
     m_samples: int = 1,
     stream: tuple[int, int] = (0, 0),
     workers: int = 1,

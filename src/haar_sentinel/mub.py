@@ -21,6 +21,7 @@ exhaustive pairwise check below must pass at tolerance 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -73,13 +74,11 @@ class MubSet:
     def __len__(self) -> int:
         return len(self.bases)
 
-    def max_pairwise_deviation(self) -> float:
-        worst = 0.0
-        for i in range(len(self.bases)):
-            for j in range(i + 1, len(self.bases)):
-                _, dev = check_mub(self.bases[i], self.bases[j])
-                worst = max(worst, dev)
-        return worst
+    def worst_pair(self) -> tuple[int, int, float]:
+        """(i, j, deviation) of the pair of bases farthest from unbiased, first such pair on ties."""
+        return max(((i, j, check_mub(u, v).max_deviation)
+                    for (i, u), (j, v) in combinations(enumerate(self.bases), 2)),
+                   key=lambda pair: pair[2])
 
     def to_json_dict(self) -> dict:
         return {

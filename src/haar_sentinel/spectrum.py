@@ -10,11 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, fsum
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 MAX_DIMENSION = 2**20  # dense assignments only; desk-scale arrays
+
+
+def require_int(value, name: str) -> int:
+    """An integer input field as an int; a bool, float or string raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -42,15 +50,17 @@ class Spectrum:
                 raise ValueError(f"eigenvalue {lam} is not a finite non-negative real")
         if len(set(self.eigenvalues)) != len(self.eigenvalues):
             raise ValueError("duplicate eigenvalue in spectrum")
-        for m in self.multiplicities:
-            if not isinstance(m, (int, np.integer)) or m < 1:
+        multiplicities = tuple(require_int(m, "multiplicities") for m in self.multiplicities)
+        for m in multiplicities:
+            if m < 1:
                 raise ValueError(f"multiplicity {m} is not a positive integer")
         if any(self.eigenvalues[i] > self.eigenvalues[i + 1]
                for i in range(len(self.eigenvalues) - 1)):
             raise ValueError("eigenvalues must be sorted ascending (use make_spectrum)")
-        n = int(sum(self.multiplicities))
+        n = sum(multiplicities)
         if n > MAX_DIMENSION:
             raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIMENSION}")
+        object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "dimension", n)
 
     @property
@@ -69,7 +79,7 @@ class Spectrum:
     def to_json_dict(self) -> dict:
         return {
             "eigenvalues": list(self.eigenvalues),
-            "multiplicities": [int(m) for m in self.multiplicities],
+            "multiplicities": list(self.multiplicities),
         }
 
     @staticmethod
@@ -152,7 +162,7 @@ def make_spectrum(eigenvalues: Sequence[float], multiplicities: Sequence[int]) -
     pairs = sorted(zip((float(v) for v in eigenvalues), multiplicities))
     return Spectrum(
         eigenvalues=tuple(p[0] for p in pairs),
-        multiplicities=tuple(int(p[1]) for p in pairs),
+        multiplicities=tuple(p[1] for p in pairs),
     )
 
 
@@ -221,4 +231,4 @@ def random_spectrum(rng: np.random.Generator, max_levels: int = 6,
     n = int(mult.sum())
     if n > max_dimension:
         mult = np.maximum(1, (mult * max_dimension) // n)
-    return make_spectrum(lams.tolist(), [int(m) for m in mult])
+    return make_spectrum(lams.tolist(), mult.tolist())

@@ -8,6 +8,14 @@ spectrum statistics of one fixed layout.  Tier "mub" additionally rotates the
 permuted observable into bases drawn from a complete mutually unbiased set,
 which makes the probed measurements tomographically complete.
 
+The two extended tiers are one protocol: the permutation tier is the mub tier
+with a single basis slot that holds no basis.  Every protocol draw comes from
+the campaign seed: order t of tier T draws its basis indices, then its
+permutations, from the Philox generator _protocol_rng(seed, T, t), keyed by
+the seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(t, 0x70726F74)).
+Unit (u, p), basis slot u and permutation p, reads its states from seed-tree
+node (u, p) of the ensemble's seed, once for all orders.
+
 Verdicts compare a discrepancy statistic R against the resolution delta that
 the sampling budget can support:
 
@@ -29,6 +37,7 @@ from math import isfinite, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import Philox
 
 from .ensembles import (
     EnsembleSpec,
@@ -46,7 +55,8 @@ from .mub import (
     mub_basis,
     mub_complete_set,  # noqa: F401 -- perfbench/spans.py traces it under this module
 )
-from .spectrum import EigenAssignment, Permutation, Spectrum, apply_permutation
+from .spectrum import Permutation, Spectrum, apply_permutation
+from .streams import stream_key, substream_id
 
 TIERS = ("observable", "permutation", "mub")
 VERDICTS = ("compatible", "incompatible", "inconclusive")
@@ -85,15 +95,13 @@ class RandomnessReport:
     delta: float
     epsilon: float
     mu_haar: float
-    verdict: str
     provenance: dict
+    verdict: str = field(init=False)
 
     def __post_init__(self):
         if self.tier not in TIERS:
             raise ValueError(f"unknown tier {self.tier!r}")
-        expected = classify(self.R, self.delta, self.epsilon)
-        if self.verdict != expected:
-            raise ValueError(f"verdict {self.verdict!r} inconsistent with |R|, delta, epsilon")
+        object.__setattr__(self, "verdict", classify(self.R, self.delta, self.epsilon))
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,58 +206,76 @@ def average_randomness(
     }
     if provenance:
         prov.update(provenance)
-    return RandomnessReport(
-        tier="observable", t=t, R=r_value, delta=delta, epsilon=epsilon,
-        mu_haar=mu.value, verdict=classify(r_value, delta, epsilon), provenance=prov,
+    return RandomnessReport(tier="observable", t=t, R=r_value, delta=delta, epsilon=epsilon,
+                            mu_haar=mu.value, provenance=prov)
+
+
+def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
+    """Generator of order t's protocol draws (basis picks, permutations) in an extended tier."""
+    return np.random.Generator(
+        Philox(key=stream_key(seed, TIERS.index(tier) + 1, substream_id(t, 0x70726F74)))
     )
 
 
-def _extended_reports(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Sequence[int],
-                      base: EigenAssignment, units: list, m_samples: int, epsilon: float,
-                      workers: int, provenance: list[dict]) -> list[RandomnessReport]:
-    """One report per order over units (stream, [(basis or None, permutation) per order]).
+def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Sequence[int],
+                         m_u: int, m_perm: int, m_samples: int, epsilon: float, seed: int,
+                         workers: int) -> list[RandomnessReport]:
+    """One report per order over m_u basis slots of m_perm permutations each.
 
-    Each unit draws m_samples states from its seed-tree stream once and
-    measures, for every order, that order's permuted base assignment, rotated
-    into its basis when one is given; per order, R is the signed RMS of the
-    per-unit deviations and delta the resolution of the pooled budget
-    len(units) * m_samples.
+    Order t's generator, _protocol_rng(seed, tier, t), draws m_u basis indices
+    uniformly with replacement from the complete set (mub tier only; the
+    permutation tier has one slot with no basis), then m_perm permutations per
+    slot.  Each distinct drawn basis is built once.  Unit i, the pair
+    (u, p) = divmod(i, m_perm), reads m_samples states from seed-tree node
+    (u, p) once and measures every order's probe on them; per order, R is the
+    signed RMS of the per-unit deviations and delta the resolution of the
+    pooled budget m_u * m_perm * m_samples.
     """
+    if m_u < 1 or m_perm < 1:
+        raise ValueError("basis and permutation budgets must be at least 1")
+    if m_samples < 2:
+        raise ValueError("need at least two samples per unit")
+    n_dim, n_units = s.dimension, m_u * m_perm
+    built = {None: None}
+    picks, perms = [], []  # per order: m_u basis indices, m_u * m_perm permutations
+    for t in orders:
+        rng = _protocol_rng(seed, tier, t)
+        drawn = [int(b) for b in rng.integers(0, n_dim + 1, size=m_u)] if tier == "mub" else [None]
+        for b in drawn:
+            if b not in built:
+                built[b] = mub_basis(n_dim, b)
+        picks.append(drawn)
+        perms.append([Permutation(rng.permutation(n_dim)) for _ in range(n_units)])
+    base = natural_assignment(spec, s)
     mus = [exact_moment(s, t) for t in orders]
-    deltas = [sampling_error_bound(s, t, len(units) * m_samples) for t in orders]
+    deltas = [sampling_error_bound(s, t, n_units * m_samples) for t in orders]
     means = [[] for _ in orders]
-    for stream, probes in units:
+    for i in range(n_units):
+        u, p = divmod(i, m_perm)
         values = generate_probe_samples(
-            spec, [(apply_permutation(base, perm), basis) for basis, perm in probes],
-            m_samples, stream=stream, workers=workers,
+            spec, [(apply_permutation(base, perms[k][i]), built[picks[k][u]])
+                   for k in range(len(orders))],
+            m_samples, stream=(u, p), workers=workers,
         )
         for k, t in enumerate(orders):
             means[k].append(estimate_moment(values[:, k], t).mean)
-    means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
     reports = []
     for k, t in enumerate(orders):
-        r_value = _signed_rms(np.asarray(means[k]) - mus[k].value)
-        prov = {
-            "seed": spec.seed,
-            "M": m_samples,
-            **provenance[k],
+        prov = {"seed": spec.seed, "M": m_samples, "M_perm": m_perm}
+        if tier == "mub":
+            prov.update(M_u=m_u, basis_indices=picks[k],
+                        basis_labels=[built[b].label for b in picks[k]])
+        prov.update({
             "mu_method": mus[k].method,
-            "permutations": [sha256(probes[k][1].mapping.tobytes()).hexdigest()[:12]
-                             for _, probes in units],
-            means_key: means[k],
-        }
+            "permutations": [sha256(perm.mapping.tobytes()).hexdigest()[:12]
+                             for perm in perms[k]],
+            "per_perm_means" if tier == "permutation" else "per_unit_means": means[k],
+        })
         reports.append(RandomnessReport(
-            tier=tier, t=t, R=r_value, delta=deltas[k], epsilon=epsilon,
-            mu_haar=mus[k].value, verdict=classify(r_value, deltas[k], epsilon),
-            provenance=prov,
+            tier=tier, t=t, R=_signed_rms(np.asarray(means[k]) - mus[k].value),
+            delta=deltas[k], epsilon=epsilon, mu_haar=mus[k].value, provenance=prov,
         ))
     return reports
-
-
-def _check_rngs(orders: Sequence[int], rngs: Sequence[np.random.Generator]) -> None:
-    if len(rngs) != len(orders):
-        raise ValueError(f"need one protocol generator per order: "
-                         f"{len(rngs)} for {len(orders)} orders")
 
 
 def permutation_randomness(
@@ -259,35 +285,17 @@ def permutation_randomness(
     m_perm: int,
     m_samples: int,
     epsilon: float,
-    rngs: Sequence[np.random.Generator],
-    permutations: Optional[Sequence[Permutation]] = None,
+    seed: int,
     workers: int = 1,
 ) -> list[RandomnessReport]:
     """Permutation-tier reports, one per order, over m_perm uniform eigenbasis relabelings.
 
-    Order t draws its m_perm permutations from its own generator (or uses the
-    explicit ``permutations`` at every order).  Permutation p gets a block of
-    m_samples states from seed-tree node (0, p), drawn once and shared by all
-    orders; R is the signed RMS of the per-permutation deviations and delta
-    the resolution of the pooled budget m_perm * m_samples.
+    The mub tier with a single slot and no basis: permutation p of every
+    order reads seed-tree node (0, p), and order t draws its permutations
+    from the campaign seed's generator for (permutation, t).
     """
-    if m_perm < 1:
-        raise ValueError("need at least one permutation")
-    if m_samples < 2:
-        raise ValueError("need at least two samples per permutation")
-    _check_rngs(orders, rngs)
-    base = natural_assignment(spec, s)
-    if permutations is None:
-        perms = [[Permutation(rng.permutation(base.dimension)) for _ in range(m_perm)]
-                 for rng in rngs]
-    else:
-        if len(permutations) != m_perm:
-            raise ValueError("explicit permutation list must have length m_perm")
-        perms = [list(permutations) for _ in orders]
-    units = [((0, p_idx), [(None, per_order[p_idx]) for per_order in perms])
-             for p_idx in range(m_perm)]
-    return _extended_reports("permutation", spec, s, orders, base, units, m_samples, epsilon,
-                             workers, [{"M_perm": m_perm} for _ in orders])
+    return _extended_randomness("permutation", spec, s, orders, 1, m_perm, m_samples,
+                                epsilon, seed, workers)
 
 
 def mub_randomness(
@@ -298,49 +306,13 @@ def mub_randomness(
     m_perm: int,
     m_samples: int,
     epsilon: float,
-    rngs: Sequence[np.random.Generator],
+    seed: int,
     workers: int = 1,
 ) -> list[RandomnessReport]:
     """MUB-tier reports, one per order: permuted observables in random unbiased bases.
 
-    Per order, m_u bases are drawn from that order's generator uniformly with
-    replacement from the complete set for this dimension (raising
-    UnsupportedDimensionError when none exists), then m_perm fresh
-    permutations per basis; only the drawn bases are built.  The (basis slot
-    u, permutation p) pair reads m_samples states from seed-tree node (u, p),
-    drawn once and shared by all orders.
+    Raises UnsupportedDimensionError when no complete set exists for the
+    dimension; only the drawn bases are built.
     """
-    if m_u < 1 or m_perm < 1:
-        raise ValueError("basis and permutation budgets must be at least 1")
-    if m_samples < 2:
-        raise ValueError("need at least two samples per (basis, permutation)")
-    _check_rngs(orders, rngs)
-    draws = _draw_mub_probes(s.dimension, rngs, m_u, m_perm)
-    units = [((u_idx, p_idx), [probes[u_idx * m_perm + p_idx] for _, _, probes in draws])
-             for u_idx in range(m_u) for p_idx in range(m_perm)]
-    return _extended_reports(
-        "mub", spec, s, orders, natural_assignment(spec, s), units, m_samples, epsilon,
-        workers, [{"M_perm": m_perm, "M_u": m_u, "basis_indices": picks, "basis_labels": labels}
-                  for picks, labels, _ in draws],
-    )
-
-
-def _draw_mub_probes(n_dim: int, rngs: Sequence[np.random.Generator], m_u: int,
-                     m_perm: int) -> list[tuple[list[int], list[str], list]]:
-    """Per order: basis indices, their labels and (basis, permutation) per unit.
-
-    Each generator draws m_u basis indices from the N+1 of the complete set,
-    then m_perm permutations per basis.  Only the drawn bases are built, each
-    distinct index once, and shared by every order that drew it.
-    """
-    built = {}
-    draws = []
-    for rng in rngs:
-        picks = [int(b) for b in rng.integers(0, n_dim + 1, size=m_u)]
-        for b in picks:
-            if b not in built:
-                built[b] = mub_basis(n_dim, b)
-        probes = [(built[b], Permutation(rng.permutation(n_dim)))
-                  for b in picks for _ in range(m_perm)]
-        draws.append((picks, [built[b].label for b in picks], probes))
-    return draws
+    return _extended_randomness("mub", spec, s, orders, m_u, m_perm, m_samples, epsilon,
+                                seed, workers)

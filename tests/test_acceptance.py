@@ -120,8 +120,7 @@ def test_criterion_06_counterexample_separation():
         obs = average_randomness(samples, s, 1, epsilon)
         observable_compatible += obs.verdict == "compatible"
         [perm] = permutation_randomness(
-            spec, s, [1], m_perm, m_samples, epsilon,
-            [np.random.default_rng(70_000 + trial)],
+            spec, s, [1], m_perm, m_samples, epsilon, seed=70_000 + trial,
         )
         permutation_incompatible += perm.verdict == "incompatible"
     elapsed = time.monotonic() - started
@@ -137,7 +136,7 @@ def test_criterion_07_mub_validity():
     for n_dim in (2, 3, 4, 5, 7):
         mubs = mub_complete_set(n_dim)
         assert len(mubs) == n_dim + 1
-        dev = mubs.max_pairwise_deviation()
+        _, _, dev = mubs.worst_pair()
         assert dev <= 1e-10, (n_dim, dev)
         worst[n_dim] = dev
     announce(7, "complete MUB sets exhaustively unbiased, worst deviation "

@@ -23,7 +23,7 @@ from haar_sentinel.ensembles import natural_assignment
 from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
 from haar_sentinel.mub import mub_basis, mub_complete_set
 from haar_sentinel.spectrum import Permutation, apply_permutation, number_operator
-from haar_sentinel.verify import RandomnessReport, average_randomness, classify, estimate_moment
+from haar_sentinel.verify import RandomnessReport, average_randomness, estimate_moment
 
 NUMBER_OP_3 = {"eigenvalues": [0, 1, 2, 3], "multiplicities": [1, 3, 3, 1]}
 QUBIT = {"eigenvalues": [0, 1], "multiplicities": [1, 1]}
@@ -321,7 +321,7 @@ def _per_order_reference(cfg, tier):
     base = natural_assignment(spec, s)
     reports = []
     for t in cfg.orders:
-        rng = cli._protocol_rng(cfg.seed, tier, t)
+        rng = verify._protocol_rng(cfg.seed, tier, t)
         extra = {"M_perm": cfg.m_perm}
         if tier == "permutation":
             units = [((0, p), None, Permutation(rng.permutation(s.dimension)))
@@ -329,7 +329,7 @@ def _per_order_reference(cfg, tier):
         else:
             mubs = mub_complete_set(s.dimension)
             picks = [int(b) for b in rng.integers(0, len(mubs), size=cfg.m_u)]
-            units = [((u, p), mubs.bases[b].matrix, Permutation(rng.permutation(s.dimension)))
+            units = [((u, p), mubs.bases[b], Permutation(rng.permutation(s.dimension)))
                      for u, b in enumerate(picks) for p in range(cfg.m_perm)]
             extra.update(M_u=cfg.m_u, basis_indices=picks,
                          basis_labels=[mubs.bases[b].label for b in picks])
@@ -344,7 +344,7 @@ def _per_order_reference(cfg, tier):
         means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
         reports.append(RandomnessReport(
             tier=tier, t=t, R=r_value, delta=delta, epsilon=cfg.epsilon,
-            mu_haar=exact_moment(s, t).value, verdict=classify(r_value, delta, cfg.epsilon),
+            mu_haar=exact_moment(s, t).value,
             provenance={"seed": spec.seed, "M": m, **extra, "mu_method": "exact",
                         "permutations": [hashlib.sha256(p.mapping.tobytes()).hexdigest()[:12]
                                          for _, _, p in units],
@@ -662,11 +662,49 @@ def test_verify_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
      "basis_index"),
     ({"kind": "dirichlet_amplitudes", "N": 3, "seed": 1,
       "params": {"alpha": [1.0, float("nan"), 0.5]}}, "alpha entry nan"),
+    ({"kind": "fixed_basis_state", "N": 3, "seed": 1, "params": {"basis_index": True}},
+     "basis_index"),
 ])
 def test_verify_rejects_ensemble_params_without_meaning(tmp_path, capsys, ensemble, problem):
     cfg = _campaign(tmp_path, ensemble=ensemble, tiers=["observable"], budgets={"M": 100})
     assert main(["verify", "--config", cfg]) == EXIT_INPUT
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"t": "12"}, "t: expected an integer, got '12'"),
+    ({"t": [1.7, 2.9]}, "t: expected an integer, got 1.7"),
+    ({"t": True}, "t: expected an integer, got True"),
+    ({"budgets": {"M": 100.9}}, "M: expected an integer, got 100.9"),
+    ({"budgets": {"M": 100, "M_perm": "2"}}, "M_perm: expected an integer, got '2'"),
+    ({"budgets": {"M": 100, "M_u": 2.0}}, "M_u: expected an integer, got 2.0"),
+    ({"budgets": []}, "budgets must be an object, got []"),
+    ({"seed": 3.9}, "seed: expected an integer, got 3.9"),
+    ({"workers": 1.5}, "workers: expected an integer, got 1.5"),
+    ({"spectrum": {"eigenvalues": [0, 1, 2], "multiplicities": [1.7, 1, 1]}},
+     "multiplicities: expected an integer, got 1.7"),
+    ({"ensemble": {"kind": "haar", "N": 2.6, "seed": 17}}, "N: expected an integer, got 2.6"),
+    ({"ensemble": {"kind": "haar", "N": 3, "seed": 3.9}}, "seed: expected an integer, got 3.9"),
+    ({"ensemble": {"kind": "counterexample", "n": True, "seed": 17},
+      "spectrum": {"eigenvalues": [0, 1], "multiplicities": [1, 1]}},
+     "n: expected an integer, got True"),
+])
+def test_verify_accepts_only_json_integers(tmp_path, capsys, overrides, problem):
+    cfg = _campaign(tmp_path, **{"budgets": {"M": 100, "M_perm": 2, "M_u": 2}, **overrides})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+
+
+def test_mub_check_names_the_pair_that_is_not_unbiased(tmp_path, capsys):
+    path = tmp_path / "mub5.json"
+    assert main(["mub", "dump", "-N", "5", "--out", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    payload["bases"][2]["columns"] = payload["bases"][1]["columns"]
+    path.write_text(json.dumps(payload))
+    assert main(["mub", "check", "--file", str(path)]) == EXIT_INPUT
+    assert "bases 1 and 2 are NOT unbiased (deviation 8.00e-01)" in capsys.readouterr().out
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

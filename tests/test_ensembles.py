@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
-from haar_sentinel import ensembles, streams
+from haar_sentinel import streams
 from haar_sentinel.dirichlet import DirichletParams, dirichlet_mixed_moment
 from haar_sentinel.ensembles import (
     EnsembleSpec,
@@ -13,7 +13,7 @@ from haar_sentinel.ensembles import (
     generate_probe_samples,
     natural_assignment,
 )
-from haar_sentinel.mub import mub_basis
+from haar_sentinel.mub import MubBasis, mub_basis
 from haar_sentinel.spectrum import (
     EigenAssignment,
     Permutation,
@@ -110,9 +110,10 @@ def test_expectation_rotated():
     spec = EnsembleSpec(kind="haar", dimension=4, seed=9)
     a = expand(number_operator(2))
     plain = generate_expectation_samples(spec, a, None, 500)
-    assert np.abs(generate_expectation_samples(spec, a, np.eye(4), 500) - plain).max() < 1e-13
+    identity = MubBasis(np.eye(4), "identity")
+    assert np.abs(generate_expectation_samples(spec, a, identity, 500) - plain).max() < 1e-13
     const = EigenAssignment((3.0,) * 4)
-    values = generate_expectation_samples(spec, const, mub_basis(4, 1).matrix, 500)
+    values = generate_expectation_samples(spec, const, mub_basis(4, 1), 500)
     assert np.abs(values - 3.0).max() < 1e-13
 
 
@@ -166,13 +167,13 @@ def test_generate_samples_distinct_streams_differ():
 
 
 def test_rotated_sampling_matches_single_state_path():
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    hadamard = MubBasis(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), "hadamard")
     spec = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=0,
                         params={"basis_index": 0})
     a = EigenAssignment((0.0, 1.0))
     values = generate_expectation_samples(spec, a, hadamard, 10)
     ket0 = np.array([[1.0, 0.0]])
-    assert np.allclose(values, _complex_reference(ket0, hadamard, a.as_array()))
+    assert np.allclose(values, _complex_reference(ket0, hadamard.matrix, a.as_array()))
     assert values[0] == pytest.approx(0.5)
 
 
@@ -267,22 +268,10 @@ def test_rotated_expectations_match_the_complex_product(monkeypatch, kind, n_dim
 
 
 def test_raw_basis_must_be_unitary():
-    spec = EnsembleSpec(kind="haar", dimension=2, seed=1)
-    a = EigenAssignment((0.0, 1.0))
-    with pytest.raises(ValueError, match="not unitary"):
-        generate_expectation_samples(spec, a, np.array([[1, 1], [0, 1]], dtype=complex), 10)
-    with pytest.raises(ValueError, match="does not match"):
-        generate_expectation_samples(spec, a, np.eye(3), 10)
-
-
-def test_mub_basis_is_not_checked_again(monkeypatch):
-    def refuse(basis, n_dim):
-        raise AssertionError("a MubBasis was checked when it was built")
-
-    monkeypatch.setattr(ensembles, "_validate_unitary", refuse)
+    # a basis is checked once, when it is built; sampling checks only its dimension
+    with pytest.raises(ValueError, match="not orthonormal"):
+        MubBasis(np.array([[1, 1], [0, 1]], dtype=complex), "raw")
     spec = EnsembleSpec(kind="haar", dimension=5, seed=3)
     a = EigenAssignment((0.0, 1.0, 2.0, 3.0, 4.0))
-    values = generate_expectation_samples(spec, a, mub_basis(5, 2), 100)
-    assert values.shape == (100,)
     with pytest.raises(ValueError, match="does not match"):
         generate_expectation_samples(spec, a, mub_basis(3, 1), 10)

@@ -13,11 +13,13 @@ from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
 from haar_sentinel.mub import UnsupportedDimensionError
 from haar_sentinel.spectrum import (
     Permutation,
+    apply_permutation,
     expand,
     make_spectrum,
     number_operator,
 )
 from haar_sentinel.verify import (
+    _protocol_rng,
     average_randomness,
     classify,
     estimate_moment,
@@ -122,14 +124,14 @@ def test_average_randomness_reports_exact_moment_without_slack():
 
 
 def test_permutation_identity_reduces_to_average_randomness():
+    # one permutation: the tier is the observable tier of the permuted observable
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=99)
-    samples = generate_expectation_samples(spec, expand(s), None, 5_000, stream=(0, 0))
+    [rep_perm] = permutation_randomness(spec, s, [2], 1, 5_000, 0.05, seed=0)
+    perm = Permutation(_protocol_rng(0, "permutation", 2).permutation(8))
+    samples = generate_expectation_samples(spec, apply_permutation(expand(s), perm), None,
+                                           5_000, stream=(0, 0))
     rep_obs = average_randomness(samples, s, 2, epsilon=0.05)
-    [rep_perm] = permutation_randomness(
-        spec, s, [2], 1, 5_000, 0.05, [np.random.default_rng(0)],
-        permutations=[Permutation.identity(8)],
-    )
     assert rep_perm.R == rep_obs.R
     assert rep_perm.delta == rep_obs.delta
     assert rep_perm.verdict == rep_obs.verdict
@@ -138,7 +140,7 @@ def test_permutation_identity_reduces_to_average_randomness():
 def test_permutation_tier_haar_compatible():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=1234)
-    [report] = permutation_randomness(spec, s, [1], 20, 10_000, 0.01, [np.random.default_rng(7)])
+    [report] = permutation_randomness(spec, s, [1], 20, 10_000, 0.01, seed=7)
     assert report.verdict == "compatible"
     assert len(report.provenance["permutations"]) == 20
 
@@ -147,7 +149,7 @@ def test_permutation_tier_counterexample_incompatible():
     n = 6
     s = number_operator(n)
     spec = EnsembleSpec(kind="counterexample", dimension=2**n, seed=81, params={"n": n})
-    [report] = permutation_randomness(spec, s, [1], 20, 10_000, 0.01, [np.random.default_rng(3)])
+    [report] = permutation_randomness(spec, s, [1], 20, 10_000, 0.01, seed=3)
     assert report.verdict == "incompatible"
     # same ensemble viewed through the unpermuted observable looks uniform
     a = natural_assignment(spec, s)
@@ -161,13 +163,12 @@ def test_permutation_dispersion_separates_haar_from_counterexample():
     n = 4
     s = number_operator(n)
     haar = EnsembleSpec(kind="haar", dimension=2**n, seed=70)
-    [report] = permutation_randomness(haar, s, [1], 10, 10_000, 0.01, [np.random.default_rng(55)])
+    [report] = permutation_randomness(haar, s, [1], 10, 10_000, 0.01, seed=55)
     assert report.verdict == "compatible"
     assert abs(report.R) <= report.delta
 
     ce = EnsembleSpec(kind="counterexample", dimension=2**n, seed=71, params={"n": n})
-    [ce_report] = permutation_randomness(ce, s, [1], 10, 10_000, 0.01,
-                                         [np.random.default_rng(55)])
+    [ce_report] = permutation_randomness(ce, s, [1], 10, 10_000, 0.01, seed=55)
     assert ce_report.verdict == "incompatible"
     assert abs(ce_report.R) > 10 * ce_report.delta
 
@@ -175,7 +176,7 @@ def test_permutation_dispersion_separates_haar_from_counterexample():
 def test_mub_tier_haar_compatible():
     s = QUBIT
     spec = EnsembleSpec(kind="haar", dimension=2, seed=2024)
-    [report] = mub_randomness(spec, s, [1], 3, 4, 10_000, 0.01, [np.random.default_rng(5)])
+    [report] = mub_randomness(spec, s, [1], 3, 4, 10_000, 0.01, seed=5)
     assert report.verdict == "compatible"
     assert len(report.provenance["basis_indices"]) == 3
 
@@ -184,7 +185,7 @@ def test_mub_tier_fixed_state_incompatible():
     s = QUBIT
     spec = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=0,
                         params={"basis_index": 0})
-    [report] = mub_randomness(spec, s, [1], 3, 2, 1_000, 0.01, [np.random.default_rng(2)])
+    [report] = mub_randomness(spec, s, [1], 3, 2, 1_000, 0.01, seed=2)
     assert report.verdict == "incompatible"
 
 
@@ -192,20 +193,33 @@ def test_mub_tier_unsupported_dimension():
     s = make_spectrum((0, 1), (3, 3))  # N = 6
     spec = EnsembleSpec(kind="haar", dimension=6, seed=1)
     with pytest.raises(UnsupportedDimensionError):
-        mub_randomness(spec, s, [1], 2, 2, 100, 0.01, [np.random.default_rng(0)])
+        mub_randomness(spec, s, [1], 2, 2, 100, 0.01, seed=0)
+
+
+@pytest.mark.parametrize("tier,budget", [
+    ("permutation", {"m_perm": 0}), ("permutation", {"m_samples": 1}),
+    ("mub", {"m_u": 0}), ("mub", {"m_perm": 0}), ("mub", {"m_samples": 1}),
+])
+def test_extended_tiers_reject_empty_budgets(tier, budget):
+    spec = EnsembleSpec(kind="haar", dimension=2, seed=4)
+    budgets = {"m_perm": 1, "m_samples": 100, **budget}
+    with pytest.raises(ValueError, match="at least"):
+        if tier == "mub":
+            mub_randomness(spec, QUBIT, [1], epsilon=0.01, seed=4, **{"m_u": 1, **budgets})
+        else:
+            permutation_randomness(spec, QUBIT, [1], epsilon=0.01, seed=4, **budgets)
 
 
 def test_delta_strictly_decreases_with_budgets():
     s = number_operator(2)
     spec = EnsembleSpec(kind="haar", dimension=4, seed=3)
-    rngs = lambda: [np.random.default_rng(11)]
-    base = permutation_randomness(spec, s, [1], 2, 1_000, 0.01, rngs())[0].delta
-    more_perms = permutation_randomness(spec, s, [1], 4, 1_000, 0.01, rngs())[0].delta
-    more_samples = permutation_randomness(spec, s, [1], 2, 2_000, 0.01, rngs())[0].delta
+    base = permutation_randomness(spec, s, [1], 2, 1_000, 0.01, seed=11)[0].delta
+    more_perms = permutation_randomness(spec, s, [1], 4, 1_000, 0.01, seed=11)[0].delta
+    more_samples = permutation_randomness(spec, s, [1], 2, 2_000, 0.01, seed=11)[0].delta
     assert more_perms < base
     assert more_samples < base
-    mub_base = mub_randomness(spec, s, [1], 2, 2, 1_000, 0.01, rngs())[0].delta
-    mub_more = mub_randomness(spec, s, [1], 4, 2, 1_000, 0.01, rngs())[0].delta
+    mub_base = mub_randomness(spec, s, [1], 2, 2, 1_000, 0.01, seed=11)[0].delta
+    mub_more = mub_randomness(spec, s, [1], 4, 2, 1_000, 0.01, seed=11)[0].delta
     assert mub_more < mub_base
 
 
