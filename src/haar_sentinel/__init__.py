@@ -2,10 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .dirichlet import (
-    DirichletParams,
-    dirichlet_mixed_moment,
-)
 from .ensembles import (
     EnsembleSpec,
     generate_expectation_samples,
@@ -50,7 +46,6 @@ from .verify import (
 )
 
 __all__ = [
-    "DirichletParams",
     "EigenAssignment",
     "EnsembleSpec",
     "MomentBounds",
@@ -65,7 +60,6 @@ __all__ = [
     "apply_permutation",
     "average_randomness",
     "check_mub",
-    "dirichlet_mixed_moment",
     "estimate_moment",
     "exact_moment",
     "expand",

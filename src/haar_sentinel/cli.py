@@ -24,7 +24,7 @@ from . import __version__
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
 from .haar_moments import exact_moment, moment_bounds
 from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
-from .spectrum import Spectrum, require_int
+from .spectrum import Spectrum, require_int, require_real
 from .verify import (
     TIERS,
     average_randomness,
@@ -135,7 +135,7 @@ def load_campaign(path: str, workers_override: Optional[int] = None) -> Campaign
                       if "ensemble" in d else None),
             tiers=d.get("tiers", ["observable"]),
             orders=tuple(require_int(t, "t") for t in orders),
-            epsilon=float(d["epsilon"]),
+            epsilon=require_real(d["epsilon"], "epsilon"),
             m_samples=require_int(budgets.get("M", 10_000), "M"),
             m_perm=require_int(budgets.get("M_perm", 1), "M_perm"),
             m_u=require_int(budgets.get("M_u", 1), "M_u"),
@@ -222,8 +222,7 @@ def _cmd_moments(args) -> int:
             rows.append({"t": t, "method": "exact", "value": mv.value})
         else:
             b = moment_bounds(s, t)
-            rows.append({"t": t, "method": "bounds", "lower": b.lower,
-                         "upper": b.upper, "base": b.base})
+            rows.append({"t": t, "method": "bounds", "lower": b.lower, "upper": b.upper})
     header = f"{'t':>3}  {'method':<8}  value"
     print(header)
     for row in rows:

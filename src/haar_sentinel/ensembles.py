@@ -24,14 +24,13 @@ index) and independent of worker count; see streams.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import streams
-from .dirichlet import DirichletParams
 from .mub import MubBasis
 from .spectrum import (
     EigenAssignment,
@@ -41,6 +40,7 @@ from .spectrum import (
     number_operator,
     number_operator_assignment,
     require_int,
+    require_real,
 )
 
 ENSEMBLE_KINDS = ("haar", "counterexample", "fixed_basis_state", "dirichlet_amplitudes")
@@ -76,7 +76,9 @@ class EnsembleSpec:
             alpha = self.params.get("alpha")
             if not alpha or len(alpha) != self.dimension:
                 raise ValueError("dirichlet_amplitudes needs alpha of length N")
-            DirichletParams(tuple(float(a) for a in alpha))  # raises on a bad entry
+            for a in alpha:
+                if not (isfinite(require_real(a, "alpha")) and a > 0):
+                    raise ValueError(f"alpha entry {a} is not a positive real")
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind, "N": self.dimension, "seed": self.seed}

@@ -36,17 +36,14 @@ LOWER_SLACK_COEFF = 10.0
 
 @dataclass(frozen=True)
 class MomentValue:
-    """A moment of order t together with how it was obtained."""
+    """The exact moment of order t."""
 
     t: int
     value: float
-    method: str  # always "exact"
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("moments of a non-negative observable are non-negative")
-        if self.method != "exact":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,6 @@ class MomentBounds:
     t: int
     lower: float
     upper: float
-    base: float
     lower_slack: float
 
     def __post_init__(self):
@@ -89,10 +85,10 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
     if t < 0:
         raise ValueError("order must be non-negative")
     if t == 0:
-        return MomentValue(t=0, value=1.0, method="exact")
+        return MomentValue(t=0, value=1.0)
     lam_max = s.max_eigenvalue
     if lam_max == 0.0:
-        return MomentValue(t=t, value=0.0, method="exact")
+        return MomentValue(t=t, value=0.0)
 
     half_n = s.dimension / 2.0
     log_prefactor = lgamma(t + 1) + lgamma(half_n) - lgamma(half_n + t)
@@ -110,12 +106,12 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
     for k in range(1, t + 1):
         h.append(fsum(power_sums[j] * h[k - j] for j in range(1, k + 1)) / k)
     if h[t] == 0.0:
-        return MomentValue(t=t, value=0.0, method="exact")
+        return MomentValue(t=t, value=0.0)
     try:
         value = exp(log_prefactor + t * (log(lam_max) + shift * LOG2) + log(h[t]))
     except OverflowError:
         raise ValueError(f"moment of order {t} exceeds double-precision range") from None
-    return MomentValue(t=t, value=value, method="exact")
+    return MomentValue(t=t, value=value)
 
 
 def _in_range(t: int, compute) -> float:
@@ -149,7 +145,6 @@ def moment_bounds(s: Spectrum, t: int) -> MomentBounds:
         t=t,
         lower=base,
         upper=_in_range(t, lambda: base * correction),
-        base=base,
         lower_slack=LOWER_SLACK_COEFF * t / s.dimension,
     )
 

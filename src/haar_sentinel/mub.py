@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
+
+from .spectrum import require_int
 
 UNBIASED_TOL = 1e-10
 
@@ -76,7 +77,7 @@ class MubSet:
 
     def worst_pair(self) -> tuple[int, int, float]:
         """(i, j, deviation) of the pair of bases farthest from unbiased, first such pair on ties."""
-        return max(((i, j, check_mub(u, v).max_deviation)
+        return max(((i, j, check_mub(u, v))
                     for (i, u), (j, v) in combinations(enumerate(self.bases), 2)),
                    key=lambda pair: pair[2])
 
@@ -99,22 +100,15 @@ class MubSet:
             MubBasis(np.asarray(e["columns"], dtype=float).view(complex)[..., 0].T, e["label"])
             for e in d["bases"]
         )
-        return MubSet(bases=bases, dimension=int(d["dimension"]))
+        return MubSet(bases=bases, dimension=require_int(d["dimension"], "dimension"))
 
 
-class MubCheck(NamedTuple):
-    unbiased: bool
-    max_deviation: float
-
-
-def check_mub(u: MubBasis, v: MubBasis) -> MubCheck:
-    """Whether all squared cross overlaps equal 1/N, and the worst deviation."""
+def check_mub(u: MubBasis, v: MubBasis) -> float:
+    """Largest deviation of a squared cross overlap from 1/N; unbiased up to UNBIASED_TOL."""
     if u.dimension != v.dimension:
         raise ValueError(f"dimension mismatch: {u.dimension} vs {v.dimension}")
-    n = u.dimension
     overlaps = np.abs(v.matrix.conj().T @ u.matrix) ** 2
-    dev = float(np.abs(overlaps - 1.0 / n).max())
-    return MubCheck(unbiased=dev <= UNBIASED_TOL, max_deviation=dev)
+    return float(np.abs(overlaps - 1.0 / u.dimension).max())
 
 
 def _is_prime(n: int) -> bool:

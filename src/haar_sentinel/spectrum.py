@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, fsum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,13 @@ def require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """A real input field as a float; a bool, string or None raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def make_spectrum(eigenvalues: Sequence[float], multiplicities: Sequence[int]) -
     """Validate and canonicalize (ascending eigenvalue order) a spectrum."""
     if len(eigenvalues) != len(multiplicities):
         raise ValueError("eigenvalues and multiplicities must have equal length")
-    pairs = sorted(zip((float(v) for v in eigenvalues), multiplicities))
+    pairs = sorted(zip((require_real(v, "eigenvalues") for v in eigenvalues), multiplicities))
     return Spectrum(
         eigenvalues=tuple(p[0] for p in pairs),
         multiplicities=tuple(p[1] for p in pairs),
@@ -216,19 +223,3 @@ def apply_permutation(a: EigenAssignment, p: Permutation) -> EigenAssignment:
         raise ValueError(f"assignment dimension {a.dimension} != permutation dimension {p.dimension}")
     return EigenAssignment(a.values[p.mapping])
 
-
-def random_spectrum(rng: np.random.Generator, max_levels: int = 6,
-                    max_dimension: int = 1024, max_eigenvalue: float = 5.0,
-                    allow_zero: bool = True) -> Spectrum:
-    """Draw a random valid spectrum; handy for property tests."""
-    g = int(rng.integers(1, max_levels + 1))
-    lams = np.sort(rng.uniform(0.0, max_eigenvalue, size=g))
-    while len(set(lams.tolist())) < g:
-        lams = np.sort(rng.uniform(0.0, max_eigenvalue, size=g))
-    if allow_zero and rng.random() < 0.3:
-        lams[0] = 0.0
-    mult = rng.integers(1, 64, size=g)
-    n = int(mult.sum())
-    if n > max_dimension:
-        mult = np.maximum(1, (mult * max_dimension) // n)
-    return make_spectrum(lams.tolist(), mult.tolist())

@@ -58,13 +58,6 @@ def stream_key(seed: int, basis_index: int = 0, perm_index: int = 0) -> int:
     return ((int(seed) & _MASK64) << 64) | substream_id(basis_index, perm_index)
 
 
-def raw_words(key: int, word_start: int, count: int) -> np.ndarray:
-    """Words [word_start, word_start+count) of the keyed Philox stream."""
-    block, offset = divmod(int(word_start), 4)
-    raw = Philox(key=key, counter=block).random_raw(offset + count)
-    return raw[offset:offset + count]
-
-
 def uniforms(key: int, word_start: int, count: int) -> np.ndarray:
     """Strictly interior uniforms on (0, 1), one word each.
 

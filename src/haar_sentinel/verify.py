@@ -14,7 +14,10 @@ the campaign seed: order t of tier T draws its basis indices, then its
 permutations, from the Philox generator _protocol_rng(seed, T, t), keyed by
 the seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(t, 0x70726F74)).
 Unit (u, p), basis slot u and permutation p, reads its states from seed-tree
-node (u, p) of the ensemble's seed, once for all orders.
+node (u, p) of the ensemble's seed, once for all orders.  The observable tier
+reads node (0, 0) too, so it measures the same states as extended unit (0, 0),
+and the permutation tier's nodes (0, p) are the mub tier's first slot: the
+tiers of one campaign are not independent samples.
 
 Verdicts compare a discrepancy statistic R against the resolution delta that
 the sampling budget can support:
@@ -59,7 +62,6 @@ from .spectrum import Permutation, Spectrum, apply_permutation
 from .streams import stream_key, substream_id
 
 TIERS = ("observable", "permutation", "mub")
-VERDICTS = ("compatible", "incompatible", "inconclusive")
 
 # An expectation value <psi|O|psi> is a convex combination of eigenvalues; a
 # computed one may overshoot the range by rounding, about N * 2^-53 relative at
@@ -201,7 +203,6 @@ def average_randomness(
     prov = {
         "M": est.m_samples,
         "stderr": est.stderr,
-        "mu_method": mu.method,
         "required_samples": required,
     }
     if provenance:
@@ -247,7 +248,7 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
         picks.append(drawn)
         perms.append([Permutation(rng.permutation(n_dim)) for _ in range(n_units)])
     base = natural_assignment(spec, s)
-    mus = [exact_moment(s, t) for t in orders]
+    mus = [exact_moment(s, t).value for t in orders]
     deltas = [sampling_error_bound(s, t, n_units * m_samples) for t in orders]
     means = [[] for _ in orders]
     for i in range(n_units):
@@ -261,19 +262,18 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
             means[k].append(estimate_moment(values[:, k], t).mean)
     reports = []
     for k, t in enumerate(orders):
-        prov = {"seed": spec.seed, "M": m_samples, "M_perm": m_perm}
+        prov = {"seed": spec.seed, "campaign_seed": seed, "M": m_samples, "M_perm": m_perm}
         if tier == "mub":
             prov.update(M_u=m_u, basis_indices=picks[k],
                         basis_labels=[built[b].label for b in picks[k]])
         prov.update({
-            "mu_method": mus[k].method,
             "permutations": [sha256(perm.mapping.tobytes()).hexdigest()[:12]
                              for perm in perms[k]],
             "per_perm_means" if tier == "permutation" else "per_unit_means": means[k],
         })
         reports.append(RandomnessReport(
-            tier=tier, t=t, R=_signed_rms(np.asarray(means[k]) - mus[k].value),
-            delta=deltas[k], epsilon=epsilon, mu_haar=mus[k].value, provenance=prov,
+            tier=tier, t=t, R=_signed_rms(np.asarray(means[k]) - mus[k]),
+            delta=deltas[k], epsilon=epsilon, mu_haar=mus[k], provenance=prov,
         ))
     return reports
 

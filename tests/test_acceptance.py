@@ -26,10 +26,10 @@ from haar_sentinel.spectrum import (
     expand,
     make_spectrum,
     number_operator,
-    random_spectrum,
     trace,
 )
 from haar_sentinel.verify import average_randomness, permutation_randomness
+from oracles import random_spectrum
 
 THREE_QUBIT_COUNTER = make_spectrum((0, 1, 2, 3), (1, 3, 3, 1))
 

@@ -19,10 +19,10 @@ from haar_sentinel.cli import (
     load_campaign,
     main,
 )
-from haar_sentinel.ensembles import natural_assignment
+from haar_sentinel.ensembles import EnsembleSpec, natural_assignment
 from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
 from haar_sentinel.mub import mub_basis, mub_complete_set
-from haar_sentinel.spectrum import Permutation, apply_permutation, number_operator
+from haar_sentinel.spectrum import Permutation, Spectrum, apply_permutation, number_operator
 from haar_sentinel.verify import RandomnessReport, average_randomness, estimate_moment
 
 NUMBER_OP_3 = {"eigenvalues": [0, 1, 2, 3], "multiplicities": [1, 3, 3, 1]}
@@ -345,7 +345,7 @@ def _per_order_reference(cfg, tier):
         reports.append(RandomnessReport(
             tier=tier, t=t, R=r_value, delta=delta, epsilon=cfg.epsilon,
             mu_haar=exact_moment(s, t).value,
-            provenance={"seed": spec.seed, "M": m, **extra, "mu_method": "exact",
+            provenance={"seed": spec.seed, "campaign_seed": cfg.seed, "M": m, **extra,
                         "permutations": [hashlib.sha256(p.mapping.tobytes()).hexdigest()[:12]
                                          for _, _, p in units],
                         means_key: means},
@@ -695,6 +695,75 @@ def test_verify_accepts_only_json_integers(tmp_path, capsys, overrides, problem)
     captured = capsys.readouterr()
     assert problem in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"epsilon": "0.05"}, "epsilon: expected a real number, got '0.05'"),
+    ({"epsilon": True}, "epsilon: expected a real number, got True"),
+    ({"spectrum": {"eigenvalues": ["0", 1, 2], "multiplicities": [1, 1, 1]}},
+     "eigenvalues: expected a real number, got '0'"),
+    ({"spectrum": {"eigenvalues": [0, True, 2], "multiplicities": [1, 1, 1]}},
+     "eigenvalues: expected a real number, got True"),
+    ({"ensemble": {"kind": "dirichlet_amplitudes", "N": 3, "seed": 1,
+                   "params": {"alpha": ["0.5", 1, 0.5]}}},
+     "alpha: expected a real number, got '0.5'"),
+    ({"ensemble": {"kind": "dirichlet_amplitudes", "N": 3, "seed": 1,
+                   "params": {"alpha": [0.5, True, 0.5]}}},
+     "alpha: expected a real number, got True"),
+])
+def test_verify_accepts_only_json_real_numbers(tmp_path, capsys, overrides, problem):
+    cfg = _campaign(tmp_path, **{"budgets": {"M": 100, "M_perm": 2, "M_u": 2}, **overrides})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eigenvalues, problem", [
+    (["1", 2], "eigenvalues: expected a real number, got '1'"),
+    ([0, False], "eigenvalues: expected a real number, got False"),
+])
+def test_moments_accepts_only_json_real_eigenvalues(tmp_path, capsys, eigenvalues, problem):
+    path = write_json(tmp_path, "s.json", {"eigenvalues": eigenvalues, "multiplicities": [1, 1]})
+    assert main(["moments", "--spectrum", path]) == EXIT_INPUT
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dimension", [5.7, "5", True])
+def test_mub_check_accepts_only_an_integer_dimension(tmp_path, capsys, dimension):
+    path = tmp_path / "mub5.json"
+    assert main(["mub", "dump", "-N", "5", "--out", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    payload["dimension"] = dimension
+    path.write_text(json.dumps(payload))
+    assert main(["mub", "check", "--file", str(path)]) == EXIT_INPUT
+    assert f"dimension: expected an integer, got {dimension!r}" in capsys.readouterr().err
+
+
+def test_extended_reports_rebuild_from_a_report_document_and_its_config(tmp_path):
+    cfg = _campaign(tmp_path, ensemble={"kind": "haar", "N": 3, "seed": 29},
+                    tiers=["permutation", "mub"], t=[1, 2],
+                    budgets={"M": 300, "M_perm": 3, "M_u": 2}, seed=5)
+    out = tmp_path / "report.json"
+    main(["verify", "--config", cfg, "--out", str(out)])
+    config = json.loads(open(cfg).read())
+    s = Spectrum.from_json_dict(config["spectrum"])
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["tier"] for r in reports] == ["permutation", "mub"] * 2
+    for report in reports:
+        prov = report["provenance"]
+        assert (prov["seed"], prov["campaign_seed"]) == (29, 5)
+        spec = EnsembleSpec.from_json_dict(dict(config["ensemble"], seed=prov["seed"]))
+        if report["tier"] == "permutation":
+            (rebuilt,) = verify.permutation_randomness(
+                spec, s, [report["t"]], prov["M_perm"], prov["M"], report["epsilon"],
+                seed=prov["campaign_seed"])
+        else:
+            (rebuilt,) = verify.mub_randomness(
+                spec, s, [report["t"]], prov["M_u"], prov["M_perm"], prov["M"],
+                report["epsilon"], seed=prov["campaign_seed"])
+        assert json.dumps(rebuilt.to_json_dict(), sort_keys=True) == json.dumps(report,
+                                                                              sort_keys=True)
 
 
 def test_mub_check_names_the_pair_that_is_not_unbiased(tmp_path, capsys):

@@ -4,7 +4,6 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 from haar_sentinel import streams
-from haar_sentinel.dirichlet import DirichletParams, dirichlet_mixed_moment
 from haar_sentinel.ensembles import (
     EnsembleSpec,
     counterexample_alphas,
@@ -23,6 +22,7 @@ from haar_sentinel.spectrum import (
     number_operator,
     number_operator_assignment,
 )
+from oracles import dirichlet_mixed_moment
 
 
 def test_haar_state_norm(one_hot_probes):
@@ -76,12 +76,12 @@ def test_counterexample_group_masses_match_dirichlet_moments(one_hot_probes):
     spec = EnsembleSpec(kind="counterexample", dimension=2**n, seed=99, params={"n": n})
     masses = generate_probe_samples(spec, one_hot_probes(2**n), 100_000)
     masses = masses[:, counterexample_support(n)]
-    params = DirichletParams(counterexample_alphas(n))
+    alpha = counterexample_alphas(n)
     for k_index in range(n + 1):
         for order in (1, 2):
             k = [0] * (n + 1)
             k[k_index] = order
-            exact = dirichlet_mixed_moment(params, k)
+            exact = dirichlet_mixed_moment(alpha, k)
             observed = masses[:, k_index] ** order
             se = observed.std(ddof=1) / np.sqrt(observed.size)
             assert abs(observed.mean() - exact) < 5 * se

@@ -11,9 +11,9 @@ from haar_sentinel.spectrum import (
     make_spectrum,
     number_operator,
     number_operator_assignment,
-    random_spectrum,
     trace,
 )
+from oracles import random_spectrum
 
 
 def brute_force_number_operator(n):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from haar_sentinel import streams
+from oracles import raw_words
 
 
 @pytest.mark.parametrize("word_start", [0, 1, 2, 3, 4, 5, 6, 7, 2**40 + 5])
 def test_uniforms_match_the_word_formula(word_start):
     key = streams.stream_key(20261019, 3, 7)
     count = 120_000
-    w = streams.raw_words(key, word_start, count)
+    w = raw_words(key, word_start, count)
     reference = ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     u = streams.uniforms(key, word_start, count)
     # about half the words have w >> 11 >= 2^52, where (w >> 11) + 1/2 rounds
