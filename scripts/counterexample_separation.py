@@ -17,13 +17,9 @@ Usage: python scripts/counterexample_separation.py [n] [M] [M_perm] [trials]
 import sys
 import time
 
-from haar_sentinel.ensembles import (
-    EnsembleSpec,
-    generate_expectation_samples,
-    natural_assignment,
-)
+from haar_sentinel.ensembles import EnsembleSpec
 from haar_sentinel.spectrum import number_operator
-from haar_sentinel.verify import average_randomness, permutation_randomness
+from haar_sentinel.verify import observable_randomness, permutation_randomness
 
 
 def main(argv):
@@ -43,10 +39,7 @@ def main(argv):
     for trial in range(trials):
         spec = EnsembleSpec(kind="counterexample", dimension=2**n,
                             seed=1000 + trial, params={"n": n})
-        samples = generate_expectation_samples(
-            spec, natural_assignment(spec, s), None, m_samples
-        )
-        obs = average_randomness(samples, s, 1, epsilon)
+        [obs] = observable_randomness(spec, s, [1], m_samples, epsilon)
         [perm] = permutation_randomness(
             spec, s, [1], m_perm, m_samples, epsilon, seed=5000 + trial,
         )

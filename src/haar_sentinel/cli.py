@@ -30,6 +30,7 @@ from .verify import (
     average_randomness,
     load_samples,
     mub_randomness,
+    observable_randomness,
     permutation_randomness,
 )
 
@@ -86,11 +87,11 @@ class CampaignConfig:
             raise InputError("budgets M_perm and M_u must be at least 1")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
-        if self.ensemble is None:
-            if self.samples_path is None:
-                raise InputError("config needs an ensemble spec or a samples file")
-            if set(self.tiers) != {"observable"}:
-                raise InputError("pre-generated samples support the observable tier only")
+        if (self.ensemble is None) == (self.samples_path is None):
+            raise InputError('config needs exactly one of "ensemble" (a spec to sample) and '
+                             '"samples" (a samples file)')
+        if self.samples_path is not None and set(self.tiers) != {"observable"}:
+            raise InputError("pre-generated samples support the observable tier only")
 
 
 def _load_json(path: str) -> dict:
@@ -167,16 +168,12 @@ def _parse_orders(expr: str) -> list[int]:
 
 def _observable_reports(cfg: CampaignConfig) -> list:
     """Observable-tier reports; the samples are drawn (or read) once for every order."""
-    if cfg.samples_path is not None:
-        samples = load_samples(cfg.samples_path, cfg.spectrum)
-        provenance = {"samples_file": cfg.samples_path}
-    else:
-        samples = generate_expectation_samples(
-            cfg.ensemble, natural_assignment(cfg.ensemble, cfg.spectrum), None,
-            cfg.m_samples, stream=(0, 0), workers=cfg.workers,
-        )
-        provenance = {"seed": cfg.ensemble.seed}
-    return [average_randomness(samples, cfg.spectrum, t, cfg.epsilon, provenance=provenance)
+    if cfg.samples_path is None:
+        return observable_randomness(cfg.ensemble, cfg.spectrum, cfg.orders, cfg.m_samples,
+                                     cfg.epsilon, workers=cfg.workers)
+    samples = load_samples(cfg.samples_path, cfg.spectrum)
+    return [average_randomness(samples, cfg.spectrum, t, cfg.epsilon,
+                               provenance={"samples_file": cfg.samples_path})
             for t in cfg.orders]
 
 

@@ -15,10 +15,10 @@ Four ensemble kinds are supported:
 - ``dirichlet_amplitudes``: real non-negative amplitudes whose squares follow
   a caller-specified Dirichlet law.
 
-Every kind is sampled by one routine, generate_probe_samples: it draws the
-states of one seed-tree stream and measures each by a list of probes.  The
-values are deterministic per (seed, basis index, permutation index, sample
-index) and independent of worker count; see streams.py.
+Every kind is sampled by one routine, probe_blocks: it draws the states of
+one seed-tree stream, a block at a time, and measures each by a list of
+probes.  The values are deterministic per (seed, basis index, permutation
+index, sample index) and independent of worker count; see streams.py.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, isfinite
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -150,32 +150,28 @@ def _quadratic_form(basis: np.ndarray, support, diag: np.ndarray) -> np.ndarray:
     return (u.real * diag) @ u.real.T + (u.imag * diag) @ u.imag.T
 
 
-def generate_probe_samples(
+def probe_blocks(
     spec: EnsembleSpec,
     probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
-    m_samples: int,
     stream: tuple[int, int] = (0, 0),
-    workers: int = 1,
-) -> np.ndarray:
-    """(M, P) expectation values: M states of one stream, each measured by P probes.
+) -> Callable[[int, int], np.ndarray]:
+    """block(start, count): the (P, count) expectation values of samples start.. of one stream.
 
-    A probe is an (assignment, basis or None) pair; column k holds
+    A probe is an (assignment, basis or None) pair; row k holds
     <psi_i|O_k|psi_i> with O_k the diagonal observable of assignment k,
     rotated into the columns of basis k when one is given (a MubBasis, checked
     unitary when it was built).  ``stream`` is the (basis index, permutation
     index) node of the seed tree; sample i draws from the fixed word range of
-    that node's Philox stream, so column k is bit-identical to a one-probe
-    call and never depends on chunking or ``workers``.  Each chunk's states
-    are drawn once and measured by every probe, and only the chunk is held:
-    memory is O(chunk * N + M * P).
+    that node's Philox stream, so row k is bit-identical to a one-probe
+    block.  Each block's states are drawn once and measured by every probe.
+    Callers evaluate blocks on the fixed grid of streams.chunked_samples, so
+    no value depends on ``workers``.
 
     Every kind has real amplitudes, so a rotated probe is one real quadratic
-    form on the state's support S, formed once per call: a chunk of c states
+    form on the state's support S, formed once per call: a block of c states
     costs c |S|^2 multiply-adds per rotated probe instead of the 4 c |S| N of
     the complex product U^dagger psi.
     """
-    if m_samples < 1:
-        raise ValueError("need at least one sample")
     diags, bases = [], []
     for a, basis in probes:
         if a.dimension != spec.dimension:
@@ -234,14 +230,33 @@ def generate_probe_samples(
     measures = [(diag[support], None) if u is None else (None, _quadratic_form(u, support, diag))
                 for diag, u in zip(diags, bases)]
 
-    def compute(s0, c):
+    def block(s0, c):
         masses, amps = states(s0, c)
-        out = np.empty((c, len(measures)))
+        out = np.empty((len(measures), c))
         for k, (diag, form) in enumerate(measures):
-            out[:, k] = masses @ diag if form is None else np.einsum("ij,ij->i", amps @ form, amps)
+            out[k] = masses @ diag if form is None else np.einsum("ij,ij->i", amps @ form, amps)
         return out
 
-    return streams.chunked_samples(m_samples, compute, workers)
+    return block
+
+
+def generate_probe_samples(
+    spec: EnsembleSpec,
+    probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
+    m_samples: int,
+    stream: tuple[int, int] = (0, 0),
+    workers: int = 1,
+) -> np.ndarray:
+    """(M, P) expectation values: M states of one stream, each measured by P probes.
+
+    Column k holds probe k's values, assembled from probe_blocks over the
+    chunk grid of streams.chunked_samples.  This holds all M * P values; the
+    verification tiers instead reduce each block in the thread that drew it.
+    """
+    if m_samples < 1:
+        raise ValueError("need at least one sample")
+    block = probe_blocks(spec, probes, stream)
+    return np.concatenate(streams.chunked_samples(m_samples, block, workers), axis=1).T
 
 
 def generate_expectation_samples(

@@ -15,10 +15,12 @@ keeps the per-sample word ranges static.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+T = TypeVar("T")
 
 # scipy.special is imported by the functions that sample, on first use: the
 # import takes about 0.3 s and 18 MiB of resident memory on a 2-core x86-64
@@ -134,20 +136,17 @@ def general_gamma_matrix(key: int, start_sample: int, count: int,
     return gammaincinv(np.asarray(alpha, dtype=float), u)
 
 
-def chunked_samples(total: int, compute: Callable[[int, int], np.ndarray],
-                    workers: int = 1) -> np.ndarray:
-    """Assemble compute(start, count) over a fixed chunk grid, in index order.
+def chunked_samples(total: int, compute: Callable[[int, int], T],
+                    workers: int = 1) -> list[T]:
+    """compute(start, count) on each chunk of a fixed grid, results in index order.
 
-    The grid depends only on CHUNK_SAMPLES, so the output is bit-identical
-    for any worker count; threads only change who evaluates which chunk.
+    The grid depends only on CHUNK_SAMPLES, so the results are bit-identical
+    for any worker count; threads only change who evaluates which chunk.  A
+    compute that reduces its chunk runs the reduction in the same thread
+    that drew it, so no caller needs to hold all ``total`` samples at once.
     """
-    if total == 0:
-        return np.empty(0)
-    starts = list(range(0, total, CHUNK_SAMPLES))
-    jobs = [(s, min(CHUNK_SAMPLES, total - s)) for s in starts]
-    if workers <= 1 or len(jobs) == 1:
-        parts = [compute(s, c) for s, c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda job: compute(*job), jobs))
-    return np.concatenate(parts)
+    jobs = [(s, min(CHUNK_SAMPLES, total - s)) for s in range(0, total, CHUNK_SAMPLES)]
+    if workers <= 1 or len(jobs) <= 1:
+        return [compute(s, c) for s, c in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda job: compute(*job), jobs))

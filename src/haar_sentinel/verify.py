@@ -30,6 +30,10 @@ the per-permutation (or per-basis-and-permutation) deviations: an ensemble
 only passes when every probed conjugation, not merely their average, stays
 within budget resolution.  With a single unit this reduces exactly to the
 plain signed deviation of the base tier.
+
+Every tier reduces its samples chunk by chunk, in the thread that drew each
+chunk, and merges the chunks in index order (_estimates); no tier holds more
+than a chunk of values.
 """
 
 from __future__ import annotations
@@ -37,16 +41,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from hashlib import sha256
 from math import isfinite, sqrt
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Philox
 
+from . import streams
 from .ensembles import (
     EnsembleSpec,
     generate_expectation_samples,  # noqa: F401 -- perfbench/spans.py traces it under this module
-    generate_probe_samples,
     natural_assignment,
+    probe_blocks,
 )
 from .haar_moments import (
     exact_moment,
@@ -59,7 +64,6 @@ from .mub import (
     mub_complete_set,  # noqa: F401 -- perfbench/spans.py traces it under this module
 )
 from .spectrum import Permutation, Spectrum, apply_permutation
-from .streams import stream_key, substream_id
 
 TIERS = ("observable", "permutation", "mub")
 
@@ -157,16 +161,51 @@ def load_samples(path: str, s: Spectrum) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _estimates(total: int, block: Callable[[int, int], np.ndarray],
+               powers: Sequence[tuple[int, int]], workers: int = 1) -> list[MomentEstimate]:
+    """Estimates of the t-th powers of row k of block(start, count), one per (k, t) in powers.
+
+    Each chunk of the grid of streams.chunked_samples is reduced in the thread
+    that drew it: its powers p = x**t give the sum s and the centred sum of
+    squares q = sum((p - s/c)**2), both NumPy pairwise sums over the chunk's
+    c values.  The chunks are merged left to right in index order (Chan,
+    Golub and LeVeque), q = q_a + q_b + d**2 n_a n_b / n with d the
+    difference of their means, so nothing holds more than a chunk of values,
+    the result never depends on ``workers``, and a single chunk gives exactly
+    NumPy's mean and var(ddof=1).
+    """
+    def reduce(s0, c):
+        values = block(s0, c)
+        sums = np.empty((2, len(powers)))
+        for j, (k, t) in enumerate(powers):
+            p = values[k] ** t
+            s = p.sum()
+            p -= s / c
+            sums[:, j] = s, np.multiply(p, p, out=p).sum()
+        return c, sums
+
+    parts = streams.chunked_samples(total, reduce, workers)
+    n, (s, q) = parts[0]
+    for c, (s_c, q_c) in parts[1:]:
+        d = s_c / c - s / n
+        q = q + q_c + d * d * n * c / (n + c)
+        s = s + s_c
+        n += c
+    return [MomentEstimate(t=t, mean=float(s[j] / n), variance=float(q[j] / (n - 1)),
+                           m_samples=n)
+            for j, (_, t) in enumerate(powers)]
+
+
 def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
-    """Empirical t-th moment: mean of per-sample t-th powers, M-1 variance."""
+    """Empirical t-th moment: mean of per-sample t-th powers, M-1 variance.
+
+    Reduced on the chunk grid of the sampling tiers, so values written by
+    ``generate`` and read back give the bits of the tier that drew them.
+    """
     values = np.asarray(samples, dtype=float)
-    m = values.size
-    if m < 2:
+    if values.size < 2:
         raise ValueError("need at least two samples")
-    powered = values**t
-    mean = float(powered.mean())
-    variance = float(powered.var(ddof=1))
-    return MomentEstimate(t=t, mean=mean, variance=variance, m_samples=m)
+    return _estimates(values.size, lambda s0, c: values[None, s0:s0 + c], [(0, t)])[0]
 
 
 def _signed_rms(deviations: np.ndarray) -> float:
@@ -179,6 +218,25 @@ def _signed_rms(deviations: np.ndarray) -> float:
     return rms if float(np.sum(deviations)) >= 0 else -rms
 
 
+def _closed_forms(s: Spectrum, t: int, m_samples: int, epsilon: float):
+    """(mu_t, delta, required samples) of an observable-tier report.
+
+    Computed before any sample is raised to the t-th power, so a spectrum
+    whose closed form or estimates leave double range is refused first.
+    """
+    return (exact_moment(s, t).value, sampling_error_bound(s, t, m_samples),
+            required_samples(s, t, epsilon))
+
+
+def _observable_report(est: MomentEstimate, closed, epsilon: float,
+                       provenance: dict) -> RandomnessReport:
+    mu, delta, required = closed
+    prov = {"M": est.m_samples, "stderr": est.stderr, "required_samples": required}
+    prov.update(provenance)
+    return RandomnessReport(tier="observable", t=est.t, R=est.mean - mu, delta=delta,
+                            epsilon=epsilon, mu_haar=mu, provenance=prov)
+
+
 def average_randomness(
     samples: Sequence[float],
     s: Spectrum,
@@ -188,34 +246,42 @@ def average_randomness(
 ) -> RandomnessReport:
     """Base-tier report: empirical moment of raw samples vs the closed form.
 
-    The closed form and the paper's estimates come first, so a spectrum whose
-    estimates leave double range is refused before its samples are raised to
-    the t-th power.
+    On the samples that observable_randomness draws, R, delta and stderr are
+    that tier's, bit for bit.
     """
     values = np.asarray(samples, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two samples")
-    mu = exact_moment(s, t)
-    delta = sampling_error_bound(s, t, values.size)
-    required = required_samples(s, t, epsilon)
-    est = estimate_moment(values, t)
-    r_value = est.mean - mu.value
-    prov = {
-        "M": est.m_samples,
-        "stderr": est.stderr,
-        "required_samples": required,
-    }
-    if provenance:
-        prov.update(provenance)
-    return RandomnessReport(tier="observable", t=t, R=r_value, delta=delta, epsilon=epsilon,
-                            mu_haar=mu.value, provenance=prov)
+    closed = _closed_forms(s, t, values.size, epsilon)
+    return _observable_report(estimate_moment(values, t), closed, epsilon, provenance or {})
+
+
+def observable_randomness(
+    spec: EnsembleSpec,
+    s: Spectrum,
+    orders: Sequence[int],
+    m_samples: int,
+    epsilon: float,
+    workers: int = 1,
+) -> list[RandomnessReport]:
+    """Observable-tier reports, one per order, from m_samples states of seed-tree node (0, 0).
+
+    The stream is drawn once for every order and reduced chunk by chunk where
+    it is drawn; memory stays O(chunk) in m_samples.
+    """
+    if m_samples < 2:
+        raise ValueError("need at least two samples")
+    closed = [_closed_forms(s, t, m_samples, epsilon) for t in orders]
+    estimates = _estimates(m_samples, probe_blocks(spec, [(natural_assignment(spec, s), None)]),
+                           [(0, t) for t in orders], workers)
+    return [_observable_report(est, c, epsilon, {"seed": spec.seed})
+            for est, c in zip(estimates, closed)]
 
 
 def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
     """Generator of order t's protocol draws (basis picks, permutations) in an extended tier."""
-    return np.random.Generator(
-        Philox(key=stream_key(seed, TIERS.index(tier) + 1, substream_id(t, 0x70726F74)))
-    )
+    key = streams.stream_key(seed, TIERS.index(tier) + 1, streams.substream_id(t, 0x70726F74))
+    return np.random.Generator(Philox(key=key))
 
 
 def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Sequence[int],
@@ -253,13 +319,10 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
     means = [[] for _ in orders]
     for i in range(n_units):
         u, p = divmod(i, m_perm)
-        values = generate_probe_samples(
-            spec, [(apply_permutation(base, perms[k][i]), built[picks[k][u]])
-                   for k in range(len(orders))],
-            m_samples, stream=(u, p), workers=workers,
-        )
-        for k, t in enumerate(orders):
-            means[k].append(estimate_moment(values[:, k], t).mean)
+        block = probe_blocks(spec, [(apply_permutation(base, perms[k][i]), built[picks[k][u]])
+                                    for k in range(len(orders))], stream=(u, p))
+        for k, est in enumerate(_estimates(m_samples, block, list(enumerate(orders)), workers)):
+            means[k].append(est.mean)
     reports = []
     for k, t in enumerate(orders):
         prov = {"seed": spec.seed, "campaign_seed": seed, "M": m_samples, "M_perm": m_perm}

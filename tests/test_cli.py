@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -262,6 +264,33 @@ def test_verify_samples_file_rejects_extended_tiers(tmp_path):
     assert main(["verify", "--config", cfg]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("tiers", [["observable"], ["observable", "permutation"], ["mub"]])
+def test_verify_config_with_samples_and_ensemble_is_bad_input(tmp_path, capsys, tiers):
+    # one campaign, one state set: a samples file and an ensemble spec would be two
+    csv = tmp_path / "samples.csv"
+    csv.write_text("sample\n0.5\n0.25\n")
+    cfg = write_json(tmp_path, "c.json", {
+        "spectrum": QUBIT,
+        "ensemble": {"kind": "haar", "N": 2},
+        "samples": str(csv),
+        "tiers": tiers,
+        "t": [1],
+        "epsilon": 0.05,
+        "seed": 1,
+    })
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert '"ensemble"' in err and '"samples"' in err
+
+
+def test_verify_config_with_neither_samples_nor_ensemble_is_bad_input(tmp_path, capsys):
+    cfg = write_json(tmp_path, "c.json", {"spectrum": QUBIT, "t": [1], "epsilon": 0.05,
+                                          "seed": 1})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert '"ensemble"' in err and '"samples"' in err
+
+
 @pytest.mark.parametrize("config_workers, flag", [(-4, None), (0, None), (2, 0), (2, -1)])
 def test_verify_rejects_worker_counts_below_one(tmp_path, config_workers, flag):
     cfg = _campaign(tmp_path, tiers=["observable"], workers=config_workers)
@@ -290,23 +319,27 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
         seed=41,
     )
     cfg = load_campaign(path)
-    generate = cli.generate_expectation_samples
+    normals = streams.standard_normals
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return generate(*args, **kwargs)
+    def counting(key, word_start, count):
+        calls.append((key, word_start))
+        return normals(key, word_start, count)
 
-    monkeypatch.setattr(cli, "generate_expectation_samples", counting)
+    monkeypatch.setattr(streams, "standard_normals", counting)
     reports = cli.run_campaign(cfg)
-    assert len(calls) == 1
+    # M spans three chunks: stream (0, 0) is drawn once, chunk by chunk, for all four orders
+    chunk_words = streams.CHUNK_SAMPLES * cfg.spectrum.dimension
+    key = streams.stream_key(cfg.ensemble.seed, 0, 0)
+    assert sorted(calls) == [(key, w) for w in (0, chunk_words, 2 * chunk_words)]
 
-    # reference: the per-order loop, drawing the identical request for every t
+    # reference: the per-order loop over the whole sample array
+    monkeypatch.setattr(streams, "standard_normals", normals)
     assignment = natural_assignment(cfg.ensemble, cfg.spectrum)
     reference = [
         average_randomness(
-            generate(cfg.ensemble, assignment, None, cfg.m_samples,
-                     stream=(0, 0), workers=cfg.workers),
+            cli.generate_expectation_samples(cfg.ensemble, assignment, None, cfg.m_samples,
+                                             stream=(0, 0), workers=cfg.workers),
             cfg.spectrum, t, cfg.epsilon, provenance={"seed": cfg.ensemble.seed},
         ).to_json_dict()
         for t in cfg.orders
@@ -788,6 +821,25 @@ def _run_python(code: str, tmp_path) -> str:
     return done.stdout.strip().splitlines()[-1]
 
 
+def _verify_peak_rss(config: str, tmp_path, out: str = None) -> tuple[int, float]:
+    """(exit code, peak RSS in MiB) of `verify` in a fresh interpreter.
+
+    The command runs as a grandchild of the test process: Linux carries the
+    RSS peak of a forked process's memory image into the ru_maxrss of the
+    program it executes, so a direct child of a large test process would
+    report that process's peak.
+    """
+    argv = ["verify", "--config", config] + (["--out", out] if out else [])
+    code = f"""
+import json, resource, subprocess, sys
+done = subprocess.run([sys.executable, "-m", "haar_sentinel.cli", *{argv!r}],
+                      stdout=subprocess.DEVNULL)
+print(json.dumps([done.returncode,
+                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024]))
+"""
+    return tuple(json.loads(_run_python(code, tmp_path)))
+
+
 def test_commands_that_never_sample_never_import_scipy(tmp_path):
     spectrum = write_json(tmp_path, "spectrum.json", NUMBER_OP_3)
     campaign = _campaign(tmp_path, tiers=["observable"], budgets={"M": 1000})
@@ -815,14 +867,7 @@ def test_mub_tier_runs_at_a_large_prime_dimension(tmp_path):
         seed=46,
     )
     out = tmp_path / "report.json"
-    code = f"""
-import contextlib, io, json, resource
-from haar_sentinel import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    exit_code = cli.main(["verify", "--config", {campaign!r}, "--out", {str(out)!r}])
-print(json.dumps([exit_code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
-"""
-    exit_code, peak_mib = json.loads(_run_python(code, tmp_path))
+    exit_code, peak_mib = _verify_peak_rss(campaign, tmp_path, str(out))
     assert exit_code == EXIT_OK
     [report] = json.loads(out.read_text())["reports"]
     assert report["verdict"] == "compatible"
@@ -842,3 +887,49 @@ def test_experiment_scripts_run(tmp_path, script, args):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_observable_tier_memory_does_not_grow_with_the_budget(tmp_path):
+    # each chunk is reduced where it is drawn; an (M,) array of values at
+    # M = 4e6 alone would be 31 MiB, and its t-th powers as much again
+    campaign = _campaign(
+        tmp_path,
+        spectrum=QUBIT,
+        ensemble={"kind": "haar", "N": 2, "seed": 47},
+        tiers=["observable"],
+        t=[1, 2, 3, 4],
+        budgets={"M": 4_000_000},
+        workers=2,
+        seed=47,
+    )
+    exit_code, peak_mib = _verify_peak_rss(campaign, tmp_path)
+    assert exit_code == EXIT_OK
+    assert peak_mib < 90
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_observable_tier_bytes_equal_the_array_and_file_paths(tmp_path, workers):
+    """The spec-driven tier, its samples as an array, and as a generated file agree byte for byte.
+
+    M spans three chunks of the reduction grid.
+    """
+    ensemble = {"kind": "haar", "N": 8, "seed": 48}
+    campaign = _campaign(tmp_path, spectrum=NUMBER_OP_3, ensemble=ensemble,
+                         tiers=["observable"], t=[1, 2, 3, 4], budgets={"M": 20_000},
+                         workers=workers, seed=48)
+    cfg = load_campaign(campaign)
+    tier = json.dumps(cli.run_campaign(cfg), sort_keys=True)
+
+    csv = tmp_path / "samples.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--ensemble", write_json(tmp_path, "e.json", ensemble),
+                     "--spectrum", write_json(tmp_path, "s.json", NUMBER_OP_3),
+                     "-M", "20000", "--out", str(csv)]) == EXIT_OK
+    array = cli.generate_expectation_samples(
+        cfg.ensemble, natural_assignment(cfg.ensemble, cfg.spectrum), None, cfg.m_samples,
+        workers=workers)
+    for samples in (array, verify.load_samples(str(csv), cfg.spectrum)):
+        reports = [average_randomness(samples, cfg.spectrum, t, cfg.epsilon,
+                                      provenance={"seed": cfg.ensemble.seed}).to_json_dict()
+                   for t in cfg.orders]
+        assert json.dumps(reports, sort_keys=True) == tier

@@ -1,8 +1,12 @@
+from fractions import Fraction
+from math import fsum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haar_sentinel import streams
 from haar_sentinel.ensembles import (
     EnsembleSpec,
     generate_expectation_samples,
@@ -67,6 +71,38 @@ def test_estimate_moment_against_exact_second_moment(one_hot_probes):
     values = masses @ np.array([0.0, 1.0])
     est = estimate_moment(values, 2)
     assert abs(est.mean - 0.375) < 3 * est.stderr
+
+
+def _oracle_moments(values, t):
+    """Mean (math.fsum, correctly rounded) and exact M-1 variance of the float64 powers values**t."""
+    powers = np.asarray(values) ** t
+    exact = [Fraction(float(p)) for p in powers]
+    mean = sum(exact) / len(exact)
+    variance = sum((p - mean) ** 2 for p in exact) / (len(exact) - 1)
+    return fsum(powers) / len(exact), variance
+
+
+@pytest.mark.parametrize("m", [900, 1000, 2500])
+def test_estimate_moment_merges_chunks_to_the_exact_oracle(monkeypatch, m):
+    # three or more chunks, the last one short when 300 does not divide m
+    monkeypatch.setattr(streams, "CHUNK_SAMPLES", 300)
+    spec = EnsembleSpec(kind="haar", dimension=8, seed=61 + m)
+    values = generate_expectation_samples(spec, expand(number_operator(3)), None, m)
+    for t in (1, 2, 3, 4):
+        est = estimate_moment(values, t)
+        mean, variance = _oracle_moments(values, t)
+        assert est.m_samples == m
+        assert abs(est.mean - mean) <= 1e-14 * mean
+        assert abs(Fraction(est.variance) - variance) <= Fraction(1e-14) * variance
+
+
+@pytest.mark.parametrize("m", [2, 5000, streams.CHUNK_SAMPLES])
+def test_estimate_moment_on_one_chunk_is_numpy_mean_and_var(m):
+    values = np.random.default_rng(m).uniform(0.0, 3.0, size=m)
+    for t in (1, 2, 3, 4):
+        est = estimate_moment(values, t)
+        assert est.mean == np.mean(values**t)
+        assert est.variance == np.var(values**t, ddof=1)
 
 
 @settings(max_examples=200, deadline=None)
