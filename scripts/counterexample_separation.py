@@ -19,7 +19,11 @@ import time
 
 from haar_sentinel.ensembles import EnsembleSpec
 from haar_sentinel.spectrum import number_operator
-from haar_sentinel.verify import observable_randomness, permutation_randomness
+from haar_sentinel.verify import (
+    average_randomness,
+    observable_estimates,
+    permutation_randomness,
+)
 
 
 def main(argv):
@@ -39,7 +43,8 @@ def main(argv):
     for trial in range(trials):
         spec = EnsembleSpec(kind="counterexample", dimension=2**n,
                             seed=1000 + trial, params={"n": n})
-        [obs] = observable_randomness(spec, s, [1], m_samples, epsilon)
+        [estimate] = observable_estimates(spec, s, [1], m_samples)
+        obs = average_randomness(estimate, s, 1, epsilon)
         [perm] = permutation_randomness(
             spec, s, [1], m_perm, m_samples, epsilon, seed=5000 + trial,
         )

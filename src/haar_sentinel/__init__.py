@@ -42,7 +42,7 @@ from .verify import (
     estimate_moment,
     load_samples,
     mub_randomness,
-    observable_randomness,
+    observable_estimates,
     permutation_randomness,
 )
 
@@ -75,7 +75,7 @@ __all__ = [
     "natural_assignment",
     "number_operator",
     "number_operator_assignment",
-    "observable_randomness",
+    "observable_estimates",
     "permutation_randomness",
     "required_samples",
     "sampling_error_bound",

@@ -30,7 +30,7 @@ from .verify import (
     average_randomness,
     load_samples,
     mub_randomness,
-    observable_randomness,
+    observable_estimates,
     permutation_randomness,
 )
 
@@ -167,14 +167,19 @@ def _parse_orders(expr: str) -> list[int]:
 
 
 def _observable_reports(cfg: CampaignConfig) -> list:
-    """Observable-tier reports; the samples are drawn (or read) once for every order."""
+    """Observable-tier reports; the samples are drawn (or read) once for every order.
+
+    A spec's stream is reduced where it is drawn, to one estimate per order.
+    """
     if cfg.samples_path is None:
-        return observable_randomness(cfg.ensemble, cfg.spectrum, cfg.orders, cfg.m_samples,
-                                     cfg.epsilon, workers=cfg.workers)
-    samples = load_samples(cfg.samples_path, cfg.spectrum)
-    return [average_randomness(samples, cfg.spectrum, t, cfg.epsilon,
-                               provenance={"samples_file": cfg.samples_path})
-            for t in cfg.orders]
+        per_order = observable_estimates(cfg.ensemble, cfg.spectrum, cfg.orders,
+                                         cfg.m_samples, workers=cfg.workers)
+        provenance = {"seed": cfg.ensemble.seed}
+    else:
+        per_order = [load_samples(cfg.samples_path, cfg.spectrum)] * len(cfg.orders)
+        provenance = {"samples_file": cfg.samples_path}
+    return [average_randomness(samples, cfg.spectrum, t, cfg.epsilon, provenance=provenance)
+            for samples, t in zip(per_order, cfg.orders)]
 
 
 def run_campaign(cfg: CampaignConfig) -> list[dict]:

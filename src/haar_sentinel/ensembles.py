@@ -240,25 +240,6 @@ def probe_blocks(
     return block
 
 
-def generate_probe_samples(
-    spec: EnsembleSpec,
-    probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
-    m_samples: int,
-    stream: tuple[int, int] = (0, 0),
-    workers: int = 1,
-) -> np.ndarray:
-    """(M, P) expectation values: M states of one stream, each measured by P probes.
-
-    Column k holds probe k's values, assembled from probe_blocks over the
-    chunk grid of streams.chunked_samples.  This holds all M * P values; the
-    verification tiers instead reduce each block in the thread that drew it.
-    """
-    if m_samples < 1:
-        raise ValueError("need at least one sample")
-    block = probe_blocks(spec, probes, stream)
-    return np.concatenate(streams.chunked_samples(m_samples, block, workers), axis=1).T
-
-
 def generate_expectation_samples(
     spec: EnsembleSpec,
     a: EigenAssignment,
@@ -269,7 +250,12 @@ def generate_expectation_samples(
 ) -> np.ndarray:
     """M raw expectation values <psi_i|O|psi_i>, deterministic per (seed, stream, i).
 
-    The one-probe case of generate_probe_samples.
+    The one-probe blocks of probe_blocks, concatenated over the chunk grid of
+    streams.chunked_samples.  This holds all M values; the verification tiers
+    instead reduce each block in the thread that drew it.
     """
-    return generate_probe_samples(spec, [(a, basis)], m_samples, stream, workers)[:, 0]
+    if m_samples < 1:
+        raise ValueError("need at least one sample")
+    block = probe_blocks(spec, [(a, basis)], stream)
+    return np.concatenate(streams.chunked_samples(m_samples, block, workers), axis=1)[0]
 

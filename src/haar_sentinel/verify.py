@@ -33,7 +33,7 @@ plain signed deviation of the base tier.
 
 Every tier reduces its samples chunk by chunk, in the thread that drew each
 chunk, and merges the chunks in index order (_estimates); no tier holds more
-than a chunk of values.
+than a chunk of values.  Raw sample arrays are reduced on the same grid.
 """
 
 from __future__ import annotations
@@ -161,39 +161,59 @@ def load_samples(path: str, s: Spectrum) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _estimates(total: int, block: Callable[[int, int], np.ndarray],
-               powers: Sequence[tuple[int, int]], workers: int = 1) -> list[MomentEstimate]:
-    """Estimates of the t-th powers of row k of block(start, count), one per (k, t) in powers.
+def _chunk_sums(values: np.ndarray, powers: Sequence[tuple[int, int]]) -> tuple[int, np.ndarray]:
+    """(c, [s, q]) of one chunk: for each (k, t) in powers, the sum s of the t-th
+    powers p = x**t of row k of the (P, c) values, and their centred sum of
+    squares q = sum((p - s/c)**2), both NumPy pairwise sums.
 
-    Each chunk of the grid of streams.chunked_samples is reduced in the thread
-    that drew it: its powers p = x**t give the sum s and the centred sum of
-    squares q = sum((p - s/c)**2), both NumPy pairwise sums over the chunk's
-    c values.  The chunks are merged left to right in index order (Chan,
-    Golub and LeVeque), q = q_a + q_b + d**2 n_a n_b / n with d the
-    difference of their means, so nothing holds more than a chunk of values,
-    the result never depends on ``workers``, and a single chunk gives exactly
-    NumPy's mean and var(ddof=1).
+    A sum that leaves double range is left infinite here; _merged refuses it.
     """
-    def reduce(s0, c):
-        values = block(s0, c)
-        sums = np.empty((2, len(powers)))
+    c = values.shape[1]
+    sums = np.empty((2, len(powers)))
+    with np.errstate(over="ignore", invalid="ignore"):
         for j, (k, t) in enumerate(powers):
             p = values[k] ** t
             s = p.sum()
             p -= s / c
             sums[:, j] = s, np.multiply(p, p, out=p).sum()
-        return c, sums
+    return c, sums
 
-    parts = streams.chunked_samples(total, reduce, workers)
+
+def _merged(parts: Sequence[tuple[int, np.ndarray]],
+            powers: Sequence[tuple[int, int]]) -> list[MomentEstimate]:
+    """One estimate per (k, t) in powers from the _chunk_sums of the chunks, in index order.
+
+    The chunks are merged left to right (Chan, Golub and LeVeque):
+    q = q_a + q_b + d**2 n_a n_b / n, with d the difference of their means.
+    A single chunk gives exactly NumPy's mean and var(ddof=1).  Raises
+    ValueError naming the order when a sum leaves double range.
+    """
     n, (s, q) = parts[0]
-    for c, (s_c, q_c) in parts[1:]:
-        d = s_c / c - s / n
-        q = q + q_c + d * d * n * c / (n + c)
-        s = s + s_c
-        n += c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, (s_c, q_c) in parts[1:]:
+            d = s_c / c - s / n
+            q = q + q_c + d * d * n * c / (n + c)
+            s = s + s_c
+            n += c
+    for j, (_, t) in enumerate(powers):
+        if not (isfinite(s[j]) and isfinite(q[j])):
+            raise ValueError(f"sample moment of order {t} exceeds double-precision range")
     return [MomentEstimate(t=t, mean=float(s[j] / n), variance=float(q[j] / (n - 1)),
                            m_samples=n)
             for j, (_, t) in enumerate(powers)]
+
+
+def _estimates(total: int, block: Callable[[int, int], np.ndarray],
+               powers: Sequence[tuple[int, int]], workers: int = 1) -> list[MomentEstimate]:
+    """Estimates of the t-th powers of row k of block(start, count), one per (k, t) in powers.
+
+    Each chunk of streams.chunked_samples is reduced in the thread that drew
+    it and the chunks are merged in index order, so nothing holds more than
+    a chunk of values and the result never depends on ``workers``.
+    """
+    parts = streams.chunked_samples(total, lambda s0, c: _chunk_sums(block(s0, c), powers),
+                                    workers)
+    return _merged(parts, powers)
 
 
 def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
@@ -205,7 +225,8 @@ def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
     values = np.asarray(samples, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two samples")
-    return _estimates(values.size, lambda s0, c: values[None, s0:s0 + c], [(0, t)])[0]
+    return _merged([_chunk_sums(values[None, s0:s0 + c], [(0, t)])
+                    for s0, c in streams.chunk_grid(values.size)], [(0, t)])[0]
 
 
 def _signed_rms(deviations: np.ndarray) -> float:
@@ -218,64 +239,58 @@ def _signed_rms(deviations: np.ndarray) -> float:
     return rms if float(np.sum(deviations)) >= 0 else -rms
 
 
-def _closed_forms(s: Spectrum, t: int, m_samples: int, epsilon: float):
-    """(mu_t, delta, required samples) of an observable-tier report.
+def observable_estimates(
+    spec: EnsembleSpec,
+    s: Spectrum,
+    orders: Sequence[int],
+    m_samples: int,
+    workers: int = 1,
+) -> list[MomentEstimate]:
+    """Order-t estimates, one per order, over m_samples states of seed-tree node (0, 0).
 
-    Computed before any sample is raised to the t-th power, so a spectrum
-    whose closed form or estimates leave double range is refused first.
+    The stream is drawn once for every order and reduced chunk by chunk where
+    it is drawn, so memory stays O(chunk) in m_samples; average_randomness
+    turns each estimate into the observable tier's report.
     """
-    return (exact_moment(s, t).value, sampling_error_bound(s, t, m_samples),
-            required_samples(s, t, epsilon))
-
-
-def _observable_report(est: MomentEstimate, closed, epsilon: float,
-                       provenance: dict) -> RandomnessReport:
-    mu, delta, required = closed
-    prov = {"M": est.m_samples, "stderr": est.stderr, "required_samples": required}
-    prov.update(provenance)
-    return RandomnessReport(tier="observable", t=est.t, R=est.mean - mu, delta=delta,
-                            epsilon=epsilon, mu_haar=mu, provenance=prov)
+    if m_samples < 2:
+        raise ValueError("need at least two samples")
+    block = probe_blocks(spec, [(natural_assignment(spec, s), None)])
+    return _estimates(m_samples, block, [(0, t) for t in orders], workers)
 
 
 def average_randomness(
-    samples: Sequence[float],
+    samples: Sequence[float] | MomentEstimate,
     s: Spectrum,
     t: int,
     epsilon: float,
     provenance: Optional[dict] = None,
 ) -> RandomnessReport:
-    """Base-tier report: empirical moment of raw samples vs the closed form.
+    """Observable-tier report: the empirical t-th moment vs the closed form.
 
-    On the samples that observable_randomness draws, R, delta and stderr are
-    that tier's, bit for bit.
+    ``samples`` are raw expectation values, or their order-t estimate as
+    observable_estimates draws it; on the same values both give the same
+    report, bit for bit.  The closed form and the paper's estimates come
+    first, so a spectrum whose estimates leave double range is refused
+    before raw samples are raised to the t-th power.
     """
-    values = np.asarray(samples, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least two samples")
-    closed = _closed_forms(s, t, values.size, epsilon)
-    return _observable_report(estimate_moment(values, t), closed, epsilon, provenance or {})
-
-
-def observable_randomness(
-    spec: EnsembleSpec,
-    s: Spectrum,
-    orders: Sequence[int],
-    m_samples: int,
-    epsilon: float,
-    workers: int = 1,
-) -> list[RandomnessReport]:
-    """Observable-tier reports, one per order, from m_samples states of seed-tree node (0, 0).
-
-    The stream is drawn once for every order and reduced chunk by chunk where
-    it is drawn; memory stays O(chunk) in m_samples.
-    """
-    if m_samples < 2:
-        raise ValueError("need at least two samples")
-    closed = [_closed_forms(s, t, m_samples, epsilon) for t in orders]
-    estimates = _estimates(m_samples, probe_blocks(spec, [(natural_assignment(spec, s), None)]),
-                           [(0, t) for t in orders], workers)
-    return [_observable_report(est, c, epsilon, {"seed": spec.seed})
-            for est, c in zip(estimates, closed)]
+    if isinstance(samples, MomentEstimate):
+        if samples.t != t:
+            raise ValueError(f"estimate of order {samples.t} given for order {t}")
+        m_samples = samples.m_samples
+    else:
+        samples = np.asarray(samples, dtype=float)
+        if samples.size < 2:
+            raise ValueError("need at least two samples")
+        m_samples = samples.size
+    mu = exact_moment(s, t).value
+    delta = sampling_error_bound(s, t, m_samples)
+    required = required_samples(s, t, epsilon)
+    est = samples if isinstance(samples, MomentEstimate) else estimate_moment(samples, t)
+    prov = {"M": est.m_samples, "stderr": est.stderr, "required_samples": required}
+    if provenance:
+        prov.update(provenance)
+    return RandomnessReport(tier="observable", t=t, R=est.mean - mu, delta=delta,
+                            epsilon=epsilon, mu_haar=mu, provenance=prov)
 
 
 def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:

@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Philox
 
-from haar_sentinel.spectrum import Spectrum, make_spectrum
+from haar_sentinel import streams
+from haar_sentinel.ensembles import EnsembleSpec, probe_blocks
+from haar_sentinel.mub import MubBasis
+from haar_sentinel.spectrum import EigenAssignment, Spectrum, make_spectrum
 
 
 def _rising(a: Fraction, k: int) -> Fraction:
@@ -54,3 +57,22 @@ def raw_words(key: int, word_start: int, count: int) -> np.ndarray:
     block, offset = divmod(int(word_start), 4)
     raw = Philox(key=key, counter=block).random_raw(offset + count)
     return raw[offset:offset + count]
+
+
+def generate_probe_samples(
+    spec: EnsembleSpec,
+    probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
+    m_samples: int,
+    stream: tuple[int, int] = (0, 0),
+    workers: int = 1,
+) -> np.ndarray:
+    """(M, P) expectation values: M states of one stream, each measured by P probes.
+
+    Column k holds probe k's values, assembled from probe_blocks over the
+    chunk grid of streams.chunked_samples, so it is bit-identical to what the
+    package's samplers draw for that probe.
+    """
+    if m_samples < 1:
+        raise ValueError("need at least one sample")
+    block = probe_blocks(spec, probes, stream)
+    return np.concatenate(streams.chunked_samples(m_samples, block, workers), axis=1).T

@@ -16,7 +16,6 @@ from haar_sentinel.cli import main
 from haar_sentinel.ensembles import (
     EnsembleSpec,
     generate_expectation_samples,
-    generate_probe_samples,
     natural_assignment,
 )
 from haar_sentinel.haar_moments import exact_moment, moment_bounds, required_samples
@@ -29,7 +28,7 @@ from haar_sentinel.spectrum import (
     trace,
 )
 from haar_sentinel.verify import average_randomness, permutation_randomness
-from oracles import random_spectrum
+from oracles import generate_probe_samples, random_spectrum
 
 THREE_QUBIT_COUNTER = make_spectrum((0, 1, 2, 3), (1, 3, 3, 1))
 

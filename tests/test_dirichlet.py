@@ -8,9 +8,9 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest, ks_2samp
 
-from haar_sentinel.ensembles import EnsembleSpec, generate_probe_samples
+from haar_sentinel.ensembles import EnsembleSpec
 from haar_sentinel.spectrum import EigenAssignment
-from oracles import dirichlet_mixed_moment
+from oracles import dirichlet_mixed_moment, generate_probe_samples
 
 
 def dirichlet_spec(alpha, seed):

@@ -9,7 +9,6 @@ from haar_sentinel.ensembles import (
     counterexample_alphas,
     counterexample_support,
     generate_expectation_samples,
-    generate_probe_samples,
     natural_assignment,
 )
 from haar_sentinel.mub import MubBasis, mub_basis
@@ -22,7 +21,7 @@ from haar_sentinel.spectrum import (
     number_operator,
     number_operator_assignment,
 )
-from oracles import dirichlet_mixed_moment
+from oracles import dirichlet_mixed_moment, generate_probe_samples
 
 
 def test_haar_state_norm(one_hot_probes):

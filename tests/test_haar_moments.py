@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from haar_sentinel.ensembles import EnsembleSpec, generate_probe_samples
+from haar_sentinel.ensembles import EnsembleSpec
 from haar_sentinel.haar_moments import (
     composition_count,
     exact_moment,
@@ -23,7 +23,7 @@ from haar_sentinel.spectrum import (
     number_operator,
     trace,
 )
-from oracles import random_spectrum
+from oracles import generate_probe_samples, random_spectrum
 
 QUBIT = make_spectrum((0, 1), (1, 1))
 THREE_QUBIT_COUNTER = make_spectrum((0, 1, 2, 3), (1, 3, 3, 1))

@@ -45,9 +45,7 @@ def test_tracer_counts_every_layer_of_a_campaign(tmp_path, spans):
         assert cli.main(["moments", "--spectrum", str(spectrum_path), "--t", "1..3"]) == 0
 
     campaign, moments = tracer.counts[0], tracer.counts[1]
-    # each extended tier once; a spec-driven observable tier runs through
-    # verify.observable_randomness, which the tracer does not wrap
-    assert campaign["verify.reports"] == 2
+    assert campaign["verify.reports"] == 4  # observable once per order, each extended tier once
     for name in ("spectrum.assignments", "streams.calls", "haar_moments.exact_calls"):
         assert campaign[name] > 0, name
     assert moments["haar_moments.exact_calls"] == 3

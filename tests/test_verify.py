@@ -10,7 +10,6 @@ from haar_sentinel import streams
 from haar_sentinel.ensembles import (
     EnsembleSpec,
     generate_expectation_samples,
-    generate_probe_samples,
     natural_assignment,
 )
 from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
@@ -30,6 +29,7 @@ from haar_sentinel.verify import (
     mub_randomness,
     permutation_randomness,
 )
+from oracles import generate_probe_samples
 
 QUBIT = make_spectrum((0, 1), (1, 1))
 
@@ -267,3 +267,10 @@ def test_report_json_schema():
     assert set(d) == {"tier", "t", "R", "delta", "epsilon", "mu_haar", "verdict", "provenance"}
     assert d["tier"] == "observable"
     assert d["verdict"] in ("compatible", "incompatible", "inconclusive")
+
+
+@pytest.mark.parametrize("samples, t", [([0.0, 1e200], 2), ([1e300, 1e300], 2), ([0.0, 1e160], 1)])
+def test_estimate_moment_refuses_sums_out_of_double_range(samples, t):
+    # the powers, or their centred squares, overflow: refused, not reported as inf
+    with pytest.raises(ValueError, match=f"order {t}"):
+        estimate_moment(samples, t)
