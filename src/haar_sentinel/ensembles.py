@@ -162,10 +162,11 @@ def probe_blocks(
     rotated into the columns of basis k when one is given (a MubBasis, checked
     unitary when it was built).  ``stream`` is the (basis index, permutation
     index) node of the seed tree; sample i draws from the fixed word range of
-    that node's Philox stream, so row k is bit-identical to a one-probe
-    block.  Each block's states are drawn once and measured by every probe.
-    Callers evaluate blocks on the fixed grid of streams.chunked_samples, so
-    no value depends on ``workers``.
+    that node's stream, whose word w is output w of
+    PCG64DXSM(SeedSequence(stream_key(seed, u, p))) reached by advance(w), so
+    row k is bit-identical to a one-probe block.  Each block's states are
+    drawn once and measured by every probe.  Callers evaluate blocks on the
+    fixed grid of streams.chunked_samples, so no value depends on ``workers``.
 
     Every kind has real amplitudes, so a rotated probe is one real quadratic
     form on the state's support S, formed once per call: a block of c states

@@ -15,8 +15,9 @@ logarithmic derivative of that product gives the recurrence
 which costs O(G t + t^2) and adds only positive terms, so nothing cancels.
 The gamma ratio is formed in log space (it overflows double precision around
 N ~ 350 if formed directly), and the recurrence runs on rescaled eigenvalues
-so that h_t stays in range for every N <= 2^20.  The multiplicative bounds
-and sample budgets below are the paper's cheap estimates.
+so that h_t stays in range for every N <= 2^20.  The bounds below are
+Jensen's and the convexity bound; the sample budgets are the paper's cheap
+estimates.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class MomentValue:
 
 @dataclass(frozen=True)
 class MomentBounds:
-    """Multiplicative bounds around the base value (Tr O / N)^t.
+    """Bounds on the moment: the base value (Tr O / N)^t and the convexity bound.
 
     ``lower`` is the base itself; the true moment may undercut it by a
     relative margin of order t/N, reported as ``lower_slack`` rather than
@@ -86,9 +87,13 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
         raise ValueError("order must be non-negative")
     if t == 0:
         return MomentValue(t=0, value=1.0)
+    if t == 1 or s.levels == 1:
+        # E <psi|O|psi> = Tr O / N, and O = lambda I gives lambda^t: closed
+        # forms that the recurrence below reproduces only up to rounding,
+        # which would put the moment above the convexity bound of moment_bounds
+        mean = trace(s) / s.dimension
+        return MomentValue(t=t, value=_in_range(t, lambda: mean**t, "moment"))
     lam_max = s.max_eigenvalue
-    if lam_max == 0.0:
-        return MomentValue(t=t, value=0.0)
 
     half_n = s.dimension / 2.0
     log_prefactor = lgamma(t + 1) + lgamma(half_n) - lgamma(half_n + t)
@@ -114,14 +119,14 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
     return MomentValue(t=t, value=value)
 
 
-def _in_range(t: int, compute) -> float:
+def _in_range(t: int, compute, what: str = "estimate") -> float:
     """compute(), or ValueError naming the order when it leaves double range."""
     try:
         value = compute()
     except OverflowError:
         value = inf
     if not isfinite(value):
-        raise ValueError(f"estimate of order {t} exceeds double-precision range")
+        raise ValueError(f"{what} of order {t} exceeds double-precision range")
     return value
 
 
@@ -132,19 +137,27 @@ def _estimate_terms(s: Spectrum, t: int) -> tuple[float, float]:
 
 
 def moment_bounds(s: Spectrum, t: int) -> MomentBounds:
-    """Cheap two-sided bounds: mu_t in [base, base * (1 + t^2 + (3/8) t^2 G / min_m^2)].
+    """Cheap two-sided bounds: mu_t in [(Tr O / N)^t, (Tr O / N) * lambda_max^(t-1)].
 
-    The base is (Tr O / N)^t.  The lower side carries an additional
-    unquantified O(t/N) slack, exposed as ``lower_slack`` = 10 t / N.
+    The expectation value x lies in [0, lambda_max] with mean Tr O / N, so
+    x^t <= x lambda_max^(t-1) bounds mu_t from above for every spectrum and
+    order.  The paper's estimate (Tr O / N)^t (1 + t^2 + (3/8) t^2 G / min_m^2)
+    is not an upper bound: a small top level undercuts it at any t/N, e.g.
+    eigenvalue 6 with multiplicity 3 beside 0 with multiplicity 1825, at t = 7
+    (t/N = 0.004), has a moment 16.7 times the estimate.  The lower side
+    carries an additional unquantified O(t/N) slack, exposed as
+    ``lower_slack`` = 10 t / N.
     """
     if t < 1:
         raise ValueError("order must be at least 1")
-    base, _ = _estimate_terms(s, t)
-    correction = 1.0 + t * t + 0.375 * t * t * s.levels / s.min_multiplicity**2
+    mean = trace(s) / s.dimension
+    base = _in_range(t, lambda: mean**t)
+    # equal to base in exact arithmetic when O is a multiple of the identity
+    upper = max(base, _in_range(t, lambda: mean * s.max_eigenvalue ** (t - 1)))
     return MomentBounds(
         t=t,
         lower=base,
-        upper=_in_range(t, lambda: base * correction),
+        upper=upper,
         lower_slack=LOWER_SLACK_COEFF * t / s.dimension,
     )
 

@@ -11,8 +11,10 @@ which makes the probed measurements tomographically complete.
 The two extended tiers are one protocol: the permutation tier is the mub tier
 with a single basis slot that holds no basis.  Every protocol draw comes from
 the campaign seed: order t of tier T draws its basis indices, then its
-permutations, from the Philox generator _protocol_rng(seed, T, t), keyed by
-the seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(t, 0x70726F74)).
+permutations, from the generator _protocol_rng(seed, T, t): the stream of the
+seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(t, 0x70726F74)), whose
+word w is output w of PCG64DXSM(SeedSequence(stream_key)), as for every
+sampling stream (see streams).
 Unit (u, p), basis slot u and permutation p, reads its states from seed-tree
 node (u, p) of the ensemble's seed, once for all orders.  The observable tier
 reads node (0, 0) too, so it measures the same states as extended unit (0, 0),
@@ -44,7 +46,6 @@ from math import isfinite, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.random import Philox
 
 from . import streams
 from .ensembles import (
@@ -296,7 +297,7 @@ def average_randomness(
 def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
     """Generator of order t's protocol draws (basis picks, permutations) in an extended tier."""
     key = streams.stream_key(seed, TIERS.index(tier) + 1, streams.substream_id(t, 0x70726F74))
-    return np.random.Generator(Philox(key=key))
+    return streams.generator(key)
 
 
 def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Sequence[int],

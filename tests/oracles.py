@@ -5,7 +5,7 @@ from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import PCG64DXSM, SeedSequence
 
 from haar_sentinel import streams
 from haar_sentinel.ensembles import EnsembleSpec, probe_blocks
@@ -53,10 +53,10 @@ def random_spectrum(rng: np.random.Generator, max_levels: int = 6,
 
 
 def raw_words(key: int, word_start: int, count: int) -> np.ndarray:
-    """Words [word_start, word_start+count) of the keyed Philox stream."""
-    block, offset = divmod(int(word_start), 4)
-    raw = Philox(key=key, counter=block).random_raw(offset + count)
-    return raw[offset:offset + count]
+    """Words [word_start, word_start+count) of the stream of leaf ``key``."""
+    bits = PCG64DXSM(SeedSequence(key))
+    bits.advance(word_start)
+    return bits.random_raw(count)
 
 
 def generate_probe_samples(

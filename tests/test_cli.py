@@ -55,7 +55,7 @@ def test_moments_bounds_mode(tmp_path, capsys):
     path = write_json(tmp_path, "s.json", NUMBER_OP_3)
     assert main(["moments", "--spectrum", path, "--t", "2", "--mode", "bounds"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "[2.25, 24.75]" in out
+    assert "[2.25, 4.5]" in out
 
 
 def test_moments_exact_within_bounds_at_first_order(tmp_path, capsys):
@@ -608,10 +608,10 @@ PINNED_CAMPAIGNS = {
                              {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
 }
 PINNED_SAMPLING_DIGESTS = {
-    "haar": "8f032fa6b4e844b6",
-    "counterexample": "b67d525d97386062",
-    "fixed_basis_state": "a3930a998ecbef3c",
-    "dirichlet_amplitudes": "d27503063846cbc3",
+    "haar": "585695c21c28c867",
+    "counterexample": "5ed726af54af1eb7",
+    "fixed_basis_state": "1b2d9068d89abb92",
+    "dirichlet_amplitudes": "f36303539989d671",
 }
 
 
@@ -880,6 +880,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "s
 @pytest.mark.parametrize("script, args", [
     ("counterexample_separation.py", ["3", "200", "2", "1"]),
     ("moment_table.py", ["3", "2", "0.01"]),
+    ("verdict_rates.py", ["1"]),
 ])
 def test_experiment_scripts_run(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))

@@ -138,8 +138,22 @@ def test_exact_moment_against_monte_carlo_oracle(one_hot_probes):
 def test_moment_bounds_example():
     b = moment_bounds(THREE_QUBIT_COUNTER, 2)
     assert b.lower == pytest.approx(2.25, abs=1e-12)
-    assert b.upper == pytest.approx(24.75, abs=1e-12)
     assert b.lower_slack == pytest.approx(20 / 8)
+
+
+def test_moment_bounds_hold_over_random_spectra_at_every_t_over_n():
+    # the first two cases have a small top level, which puts the moment above
+    # the paper's estimate (Tr O / N)^t (1 + t^2 + (3/8) t^2 G / min_m^2)
+    cases = [(make_spectrum((0, 9), (10, 2)), 5), (make_spectrum((0, 6), (1825, 3)), 7)]
+    rng = np.random.default_rng(4099)
+    for _ in range(400):
+        s = random_spectrum(rng, max_dimension=int(rng.choice([16, 64, 1024])))
+        cases += [(s, t) for t in range(1, 9)]
+    assert sum(t / s.dimension > 0.05 for s, t in cases) > 1000
+    for s, t in cases:
+        value = exact_moment(s, t).value
+        b = moment_bounds(s, t)
+        assert b.lower * (1 - 1e-12) <= value <= b.upper * (1 + 1e-12), (s, t)
 
 
 def test_constant_spectrum_is_deterministic():

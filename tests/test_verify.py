@@ -221,7 +221,9 @@ def test_mub_tier_fixed_state_incompatible():
     s = QUBIT
     spec = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=0,
                         params={"basis_index": 0})
-    [report] = mub_randomness(spec, s, [1], 3, 2, 1_000, 0.01, seed=2)
+    # at t = 1 the state is visible only in its own basis, one of the three;
+    # twenty picks all miss it with probability (2/3)^20 < 3e-4
+    [report] = mub_randomness(spec, s, [1], 20, 2, 1_000, 0.01, seed=2)
     assert report.verdict == "incompatible"
 
 
