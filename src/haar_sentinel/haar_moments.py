@@ -53,7 +53,12 @@ class MomentBounds:
 
     ``lower`` is the base itself; the true moment may undercut it by a
     relative margin of order t/N, reported as ``lower_slack`` rather than
-    folded into the bound with an invented constant.
+    folded into the bound with an invented constant.  ``upper`` bounds the
+    true moment; where the two meet (levels a few ulps apart) a computed
+    exact_moment can exceed it by its rounding error, which grows with N
+    through the log-gamma difference of the gamma ratio: against rational
+    arithmetic, for t <= 16, up to 8e-13 relative at N = 1024 and 1.1e-9 at
+    N = 2^20.
     """
 
     t: int
@@ -89,8 +94,7 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
         return MomentValue(t=0, value=1.0)
     if t == 1 or s.levels == 1:
         # E <psi|O|psi> = Tr O / N, and O = lambda I gives lambda^t: closed
-        # forms that the recurrence below reproduces only up to rounding,
-        # which would put the moment above the convexity bound of moment_bounds
+        # forms that the recurrence below reproduces only up to rounding
         mean = trace(s) / s.dimension
         return MomentValue(t=t, value=_in_range(t, lambda: mean**t, "moment"))
     lam_max = s.max_eigenvalue
@@ -112,11 +116,8 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
         h.append(fsum(power_sums[j] * h[k - j] for j in range(1, k + 1)) / k)
     if h[t] == 0.0:
         return MomentValue(t=t, value=0.0)
-    try:
-        value = exp(log_prefactor + t * (log(lam_max) + shift * LOG2) + log(h[t]))
-    except OverflowError:
-        raise ValueError(f"moment of order {t} exceeds double-precision range") from None
-    return MomentValue(t=t, value=value)
+    log_value = log_prefactor + t * (log(lam_max) + shift * LOG2) + log(h[t])
+    return MomentValue(t=t, value=_in_range(t, lambda: exp(log_value), "moment"))
 
 
 def _in_range(t: int, compute, what: str = "estimate") -> float:

@@ -306,9 +306,12 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
     """One report per order over m_u basis slots of m_perm permutations each.
 
     Order t's generator, _protocol_rng(seed, tier, t), draws m_u basis indices
-    uniformly with replacement from the complete set (mub tier only; the
-    permutation tier has one slot with no basis), then m_perm permutations per
-    slot.  Each distinct drawn basis is built once.  Unit i, the pair
+    as the first m_u entries of consecutive random orderings of the complete
+    set (mub tier only; the permutation tier has one slot with no basis), then
+    m_perm permutations per slot.  So the picks are distinct while
+    m_u <= N + 1, and each basis is picked floor or ceil of m_u / (N + 1)
+    times beyond that: a state visible in only some bases cannot slip past a
+    budget that covers the set.  Each distinct drawn basis is built once.  Unit i, the pair
     (u, p) = divmod(i, m_perm), reads m_samples states from seed-tree node
     (u, p) once and measures every order's probe on them; per order, R is the
     signed RMS of the per-unit deviations and delta the resolution of the
@@ -323,7 +326,10 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
     picks, perms = [], []  # per order: m_u basis indices, m_u * m_perm permutations
     for t in orders:
         rng = _protocol_rng(seed, tier, t)
-        drawn = [int(b) for b in rng.integers(0, n_dim + 1, size=m_u)] if tier == "mub" else [None]
+        drawn = [None]
+        if tier == "mub":
+            orderings = [rng.permutation(n_dim + 1) for _ in range(-(-m_u // (n_dim + 1)))]
+            drawn = [int(b) for b in np.concatenate(orderings)[:m_u]]
         for b in drawn:
             if b not in built:
                 built[b] = mub_basis(n_dim, b)

@@ -361,7 +361,9 @@ def _per_order_reference(cfg, tier):
                      for p in range(cfg.m_perm)]
         else:
             mubs = mub_complete_set(s.dimension)
-            picks = [int(b) for b in rng.integers(0, len(mubs), size=cfg.m_u)]
+            rounds = -(-cfg.m_u // len(mubs))
+            picks = [int(b) for b in
+                     np.concatenate([rng.permutation(len(mubs)) for _ in range(rounds)])[:cfg.m_u]]
             units = [((u, p), mubs.bases[b], Permutation(rng.permutation(s.dimension)))
                      for u, b in enumerate(picks) for p in range(cfg.m_perm)]
             extra.update(M_u=cfg.m_u, basis_indices=picks,
@@ -608,10 +610,10 @@ PINNED_CAMPAIGNS = {
                              {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
 }
 PINNED_SAMPLING_DIGESTS = {
-    "haar": "585695c21c28c867",
-    "counterexample": "5ed726af54af1eb7",
-    "fixed_basis_state": "1b2d9068d89abb92",
-    "dirichlet_amplitudes": "f36303539989d671",
+    "haar": "c4da7233896cc096",
+    "counterexample": "d30e80b5cc17f686",
+    "fixed_basis_state": "642a359ceb58da19",
+    "dirichlet_amplitudes": "6e36e8541060643a",
 }
 
 

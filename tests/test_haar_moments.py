@@ -150,6 +150,12 @@ def test_moment_bounds_hold_over_random_spectra_at_every_t_over_n():
         s = random_spectrum(rng, max_dimension=int(rng.choice([16, 64, 1024])))
         cases += [(s, t) for t in range(1, 9)]
     assert sum(t / s.dimension > 0.05 for s, t in cases) > 1000
+    # two levels a few ulps to 1e-6 apart, where the moment meets the bound and
+    # only the rounding of exact_moment (under 1e-12 relative at N <= 1024)
+    # separates them
+    cases += [(make_spectrum((lam, lam * (1 + d)), (n - top, top)), t)
+              for n in (2, 61, 1024) for d in (2.3e-16, 1e-12, 1e-6)
+              for lam in (1.0, 7.0) for top in {1, n - 1} for t in range(1, 9)]
     for s, t in cases:
         value = exact_moment(s, t).value
         b = moment_bounds(s, t)

@@ -221,10 +221,18 @@ def test_mub_tier_fixed_state_incompatible():
     s = QUBIT
     spec = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=0,
                         params={"basis_index": 0})
-    # at t = 1 the state is visible only in its own basis, one of the three;
-    # twenty picks all miss it with probability (2/3)^20 < 3e-4
-    [report] = mub_randomness(spec, s, [1], 20, 2, 1_000, 0.01, seed=2)
+    [report] = mub_randomness(spec, s, [1], 3, 2, 1_000, 0.01, seed=2)
     assert report.verdict == "incompatible"
+
+
+@pytest.mark.parametrize("m_u", [2, 3, 4, 7])
+def test_mub_picks_cover_the_complete_set_evenly(m_u):
+    # distinct picks up to N + 1 = 3, then every basis floor or ceil of m_u / 3 times
+    spec = EnsembleSpec(kind="haar", dimension=2, seed=3)
+    for seed in range(20):
+        [report] = mub_randomness(spec, QUBIT, [1], m_u, 1, 2, 0.01, seed=seed)
+        counts = np.bincount(report.provenance["basis_indices"], minlength=3)
+        assert counts.sum() == m_u and counts.max() - counts.min() <= 1, counts
 
 
 def test_mub_tier_unsupported_dimension():
