@@ -44,7 +44,7 @@ def main(argv):
         spec = EnsembleSpec(kind="counterexample", dimension=2**n,
                             seed=1000 + trial, params={"n": n})
         [estimate] = observable_estimates(spec, s, [1], m_samples)
-        obs = average_randomness(estimate, s, 1, epsilon)
+        obs = average_randomness(estimate, s, epsilon)
         [perm] = permutation_randomness(
             spec, s, [1], m_perm, m_samples, epsilon, seed=5000 + trial,
         )

@@ -24,10 +24,11 @@ from . import __version__
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
 from .haar_moments import exact_moment, moment_bounds
 from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
-from .spectrum import Spectrum, require_int, require_real
+from .spectrum import Spectrum, require_int, require_real, require_str
 from .verify import (
     TIERS,
     average_randomness,
+    estimate_moment,
     load_samples,
     mub_randomness,
     observable_estimates,
@@ -143,7 +144,7 @@ def load_campaign(path: str, workers_override: Optional[int] = None) -> Campaign
             seed=seed,
             workers=(workers_override if workers_override is not None
                      else require_int(d.get("workers", 1), "workers")),
-            samples_path=d.get("samples"),
+            samples_path=require_str(d["samples"], "samples") if "samples" in d else None,
         )
     except InputError:
         raise
@@ -169,17 +170,18 @@ def _parse_orders(expr: str) -> list[int]:
 def _observable_reports(cfg: CampaignConfig) -> list:
     """Observable-tier reports; the samples are drawn (or read) once for every order.
 
-    A spec's stream is reduced where it is drawn, to one estimate per order.
+    A spec's stream is reduced where it is drawn, a file's values by estimate_moment.
     """
     if cfg.samples_path is None:
-        per_order = observable_estimates(cfg.ensemble, cfg.spectrum, cfg.orders,
+        estimates = observable_estimates(cfg.ensemble, cfg.spectrum, cfg.orders,
                                          cfg.m_samples, workers=cfg.workers)
         provenance = {"seed": cfg.ensemble.seed}
     else:
-        per_order = [load_samples(cfg.samples_path, cfg.spectrum)] * len(cfg.orders)
+        values = load_samples(cfg.samples_path, cfg.spectrum)
+        estimates = [estimate_moment(values, t) for t in cfg.orders]
         provenance = {"samples_file": cfg.samples_path}
-    return [average_randomness(samples, cfg.spectrum, t, cfg.epsilon, provenance=provenance)
-            for samples, t in zip(per_order, cfg.orders)]
+    return [average_randomness(est, cfg.spectrum, cfg.epsilon, provenance=provenance)
+            for est in estimates]
 
 
 def run_campaign(cfg: CampaignConfig) -> list[dict]:
@@ -298,7 +300,7 @@ def _cmd_mub(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid MUB set: {exc}") from exc
     i, j, worst = mubs.worst_pair()
-    if worst > UNBIASED_TOL:
+    if not worst <= UNBIASED_TOL:
         print(f"bases {i} and {j} are NOT unbiased (deviation {worst:.2e})")
         return EXIT_INPUT
     print(f"{len(mubs.bases)} bases pairwise unbiased, worst deviation {worst:.2e}")

@@ -92,11 +92,14 @@ class EnsembleSpec:
     def from_json_dict(d: dict, default_seed: Optional[int] = None) -> "EnsembleSpec":
         kind = d["kind"]
         params = dict(d.get("params", {}))
-        if "n" in d:
-            params.setdefault("n", d["n"])
-        if "n" in params:
-            params["n"] = require_int(params["n"], "n")
+        ns = {require_int(source["n"], "n") for source in (d, params) if "n" in source}
+        if len(ns) > 1:
+            raise ValueError(f"n is {d['n']} but params.n is {params['n']}")
+        if ns:
+            params["n"] = ns.pop()
         dim = 2 ** params["n"] if "n" in params and "N" not in d else require_int(d["N"], "N")
+        if "n" in params and dim != 2 ** params["n"]:
+            raise ValueError(f"N = {dim} is not 2^n = {2 ** params['n']}")
         seed = d.get("seed", default_seed)
         if seed is None:
             raise ValueError("ensemble spec needs a seed")

@@ -36,19 +36,20 @@ class UnsupportedDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class MubBasis:
-    """One orthonormal basis, stored as the columns of a unitary matrix."""
+    """One orthonormal basis: a read-only copy of the columns of a unitary matrix."""
 
     matrix: np.ndarray
     label: str
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("basis matrix must be square")
         if m.shape[0] < 2:
             raise ValueError("dimension must be at least 2")
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if dev > UNBIASED_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries: dev is nan or inf
+            dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        if not dev <= UNBIASED_TOL:
             raise ValueError(f"columns not orthonormal (deviation {dev:.2e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -96,11 +97,15 @@ class MubSet:
     @staticmethod
     def from_json_dict(d: dict) -> "MubSet":
         # columns[j][i] = [re, im] of entry i of basis vector j
-        bases = tuple(
-            MubBasis(np.asarray(e["columns"], dtype=float).view(complex)[..., 0].T, e["label"])
-            for e in d["bases"]
-        )
-        return MubSet(bases=bases, dimension=require_int(d["dimension"], "dimension"))
+        n_dim = require_int(d["dimension"], "dimension")
+        bases = []
+        for e in d["bases"]:
+            columns = np.asarray(e["columns"], dtype=float)
+            if columns.shape != (n_dim, n_dim, 2):
+                raise ValueError(f"basis {e['label']!r}: columns of shape {columns.shape}, "
+                                 f"expected ({n_dim}, {n_dim}, 2)")
+            bases.append(MubBasis(columns.view(complex)[..., 0].T, e["label"]))
+        return MubSet(bases=tuple(bases), dimension=n_dim)
 
 
 def check_mub(u: MubBasis, v: MubBasis) -> float:

@@ -32,6 +32,13 @@ def require_real(value, name: str) -> float:
     return float(value)
 
 
+def require_str(value, name: str) -> str:
+    """A string input field; any other JSON value raises ValueError naming it."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Distinct non-negative eigenvalues with multiplicities, sorted ascending.

@@ -146,21 +146,16 @@ def general_gamma_matrix(key: int, start_sample: int, count: int,
     return gammaincinv(np.asarray(alpha, dtype=float), u)
 
 
-def chunk_grid(total: int) -> list[tuple[int, int]]:
-    """(start, count) of each chunk of the fixed CHUNK_SAMPLES grid over total samples."""
-    return [(s, min(CHUNK_SAMPLES, total - s)) for s in range(0, total, CHUNK_SAMPLES)]
-
-
 def chunked_samples(total: int, compute: Callable[[int, int], T],
                     workers: int = 1) -> list[T]:
-    """compute(start, count) on each chunk of chunk_grid(total), results in index order.
+    """compute(start, count) on each chunk of the CHUNK_SAMPLES grid, results in index order.
 
     The grid depends only on CHUNK_SAMPLES, so the results are bit-identical
     for any worker count; threads only change who evaluates which chunk.  A
     compute that reduces its chunk runs the reduction in the same thread
     that drew it, so no caller needs to hold all ``total`` samples at once.
     """
-    jobs = chunk_grid(total)
+    jobs = [(s, min(CHUNK_SAMPLES, total - s)) for s in range(0, total, CHUNK_SAMPLES)]
     if workers <= 1 or len(jobs) <= 1:
         return [compute(s, c) for s, c in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:

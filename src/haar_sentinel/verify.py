@@ -35,12 +35,12 @@ plain signed deviation of the base tier.
 
 Every tier reduces its samples chunk by chunk, in the thread that drew each
 chunk, and merges the chunks in index order (_estimates); no tier holds more
-than a chunk of values.  Raw sample arrays are reduced on the same grid.
+than a chunk of values.  Raw sample arrays take the same path (estimate_moment).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import sha256
 from math import isfinite, sqrt
 from typing import Callable, Optional, Sequence
@@ -87,14 +87,12 @@ class MomentEstimate:
     def __post_init__(self):
         if self.variance < 0:
             raise ValueError("variance must be non-negative")
-        if self.m_samples < 2:
-            raise ValueError("need at least two samples")
         object.__setattr__(self, "stderr", sqrt(self.variance / self.m_samples))
 
 
 @dataclass(frozen=True)
 class RandomnessReport:
-    """Outcome of one verification tier at one moment order."""
+    """Outcome of one verification tier at one moment order; fields in report key order."""
 
     tier: str
     t: int
@@ -102,8 +100,8 @@ class RandomnessReport:
     delta: float
     epsilon: float
     mu_haar: float
-    provenance: dict
     verdict: str = field(init=False)
+    provenance: dict
 
     def __post_init__(self):
         if self.tier not in TIERS:
@@ -111,16 +109,7 @@ class RandomnessReport:
         object.__setattr__(self, "verdict", classify(self.R, self.delta, self.epsilon))
 
     def to_json_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "t": self.t,
-            "R": self.R,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "mu_haar": self.mu_haar,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 def classify(r_value: float, delta: float, epsilon: float) -> str:
@@ -212,6 +201,8 @@ def _estimates(total: int, block: Callable[[int, int], np.ndarray],
     it and the chunks are merged in index order, so nothing holds more than
     a chunk of values and the result never depends on ``workers``.
     """
+    if total < 2:
+        raise ValueError("need at least two samples")
     parts = streams.chunked_samples(total, lambda s0, c: _chunk_sums(block(s0, c), powers),
                                     workers)
     return _merged(parts, powers)
@@ -224,10 +215,7 @@ def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
     ``generate`` and read back give the bits of the tier that drew them.
     """
     values = np.asarray(samples, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least two samples")
-    return _merged([_chunk_sums(values[None, s0:s0 + c], [(0, t)])
-                    for s0, c in streams.chunk_grid(values.size)], [(0, t)])[0]
+    return _estimates(values.size, lambda s0, c: values[None, s0:s0 + c], [(0, t)])[0]
 
 
 def _signed_rms(deviations: np.ndarray) -> float:
@@ -253,44 +241,28 @@ def observable_estimates(
     it is drawn, so memory stays O(chunk) in m_samples; average_randomness
     turns each estimate into the observable tier's report.
     """
-    if m_samples < 2:
-        raise ValueError("need at least two samples")
     block = probe_blocks(spec, [(natural_assignment(spec, s), None)])
     return _estimates(m_samples, block, [(0, t) for t in orders], workers)
 
 
 def average_randomness(
-    samples: Sequence[float] | MomentEstimate,
+    estimate: MomentEstimate,
     s: Spectrum,
-    t: int,
     epsilon: float,
     provenance: Optional[dict] = None,
 ) -> RandomnessReport:
-    """Observable-tier report: the empirical t-th moment vs the closed form.
+    """Observable-tier report at the estimate's order: its mean vs the closed form.
 
-    ``samples`` are raw expectation values, or their order-t estimate as
-    observable_estimates draws it; on the same values both give the same
-    report, bit for bit.  The closed form and the paper's estimates come
-    first, so a spectrum whose estimates leave double range is refused
-    before raw samples are raised to the t-th power.
+    The estimate comes from observable_estimates, which reduces a stream
+    where it is drawn, or from estimate_moment on raw expectation values;
+    on the same values both give the same report, bit for bit.
     """
-    if isinstance(samples, MomentEstimate):
-        if samples.t != t:
-            raise ValueError(f"estimate of order {samples.t} given for order {t}")
-        m_samples = samples.m_samples
-    else:
-        samples = np.asarray(samples, dtype=float)
-        if samples.size < 2:
-            raise ValueError("need at least two samples")
-        m_samples = samples.size
+    t, m = estimate.t, estimate.m_samples
     mu = exact_moment(s, t).value
-    delta = sampling_error_bound(s, t, m_samples)
-    required = required_samples(s, t, epsilon)
-    est = samples if isinstance(samples, MomentEstimate) else estimate_moment(samples, t)
-    prov = {"M": est.m_samples, "stderr": est.stderr, "required_samples": required}
-    if provenance:
-        prov.update(provenance)
-    return RandomnessReport(tier="observable", t=t, R=est.mean - mu, delta=delta,
+    delta = sampling_error_bound(s, t, m)
+    prov = {"M": m, "stderr": estimate.stderr,
+            "required_samples": required_samples(s, t, epsilon), **(provenance or {})}
+    return RandomnessReport(tier="observable", t=t, R=estimate.mean - mu, delta=delta,
                             epsilon=epsilon, mu_haar=mu, provenance=prov)
 
 
@@ -319,8 +291,6 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
     """
     if m_u < 1 or m_perm < 1:
         raise ValueError("basis and permutation budgets must be at least 1")
-    if m_samples < 2:
-        raise ValueError("need at least two samples per unit")
     n_dim, n_units = s.dimension, m_u * m_perm
     built = {None: None}
     picks, perms = [], []  # per order: m_u basis indices, m_u * m_perm permutations

@@ -338,9 +338,10 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
     assignment = natural_assignment(cfg.ensemble, cfg.spectrum)
     reference = [
         average_randomness(
-            cli.generate_expectation_samples(cfg.ensemble, assignment, None, cfg.m_samples,
-                                             stream=(0, 0), workers=cfg.workers),
-            cfg.spectrum, t, cfg.epsilon, provenance={"seed": cfg.ensemble.seed},
+            estimate_moment(cli.generate_expectation_samples(
+                cfg.ensemble, assignment, None, cfg.m_samples, stream=(0, 0),
+                workers=cfg.workers), t),
+            cfg.spectrum, cfg.epsilon, provenance={"seed": cfg.ensemble.seed},
         ).to_json_dict()
         for t in cfg.orders
     ]
@@ -811,6 +812,49 @@ def test_mub_check_names_the_pair_that_is_not_unbiased(tmp_path, capsys):
     assert "bases 1 and 2 are NOT unbiased (deviation 8.00e-01)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("entry", [
+    lambda re, im: [float("nan"), float("nan")],
+    lambda re, im: [re, float("inf")],
+    lambda re, im: [re, im, 0.0, 0.0],
+], ids=["nan", "infinity", "four-wide"])
+def test_mub_check_refuses_non_finite_and_malformed_entries(tmp_path, capsys, entry):
+    path = tmp_path / "mub2.json"
+    assert main(["mub", "dump", "-N", "2", "--out", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    for basis in payload["bases"]:
+        basis["columns"] = [[entry(*e) for e in column] for column in basis["columns"]]
+    path.write_text(json.dumps(payload))
+    assert main(["mub", "check", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "invalid MUB set" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", [0, True, ["a"], {}])
+def test_verify_samples_field_must_be_a_json_string(tmp_path, capsys, samples):
+    path = write_json(tmp_path, "c.json", {"spectrum": NUMBER_OP_3, "samples": samples,
+                                           "tiers": ["observable"], "t": [1],
+                                           "epsilon": 0.05, "seed": 5})
+    assert main(["verify", "--config", path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"samples: expected a string, got {samples!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("ensemble, problem", [
+    ({"kind": "counterexample", "n": 6, "seed": 7, "params": {"n": 5}},
+     "n is 6 but params.n is 5"),
+    ({"kind": "haar", "N": 4, "n": 3, "seed": 7}, "N = 4 is not 2^n = 8"),
+])
+def test_ensemble_spec_states_n_once(tmp_path, capsys, ensemble, problem):
+    out = tmp_path / "samples.csv"
+    assert main(["generate", "--ensemble", write_json(tmp_path, "e.json", ensemble),
+                 "--spectrum", write_json(tmp_path, "s.json", QUBIT),
+                 "-M", "10", "--out", str(out)]) == EXIT_INPUT
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -932,7 +976,7 @@ def test_observable_tier_bytes_equal_the_array_and_file_paths(tmp_path, workers)
         cfg.ensemble, natural_assignment(cfg.ensemble, cfg.spectrum), None, cfg.m_samples,
         workers=workers)
     for samples in (array, verify.load_samples(str(csv), cfg.spectrum)):
-        reports = [average_randomness(samples, cfg.spectrum, t, cfg.epsilon,
+        reports = [average_randomness(estimate_moment(samples, t), cfg.spectrum, cfg.epsilon,
                                       provenance={"seed": cfg.ensemble.seed}).to_json_dict()
                    for t in cfg.orders]
         assert json.dumps(reports, sort_keys=True) == tier

@@ -71,6 +71,14 @@ def test_basis_rejects_non_unitary():
         MubBasis(np.eye(1, dtype=complex), label="too-small")
 
 
+def test_basis_copies_the_callers_matrix():
+    a = np.eye(2, dtype=complex)
+    basis = MubBasis(a, "x")
+    a[0, 0] = 2
+    assert basis.matrix[0, 0] == 1
+    assert not basis.matrix.flags.writeable
+
+
 def test_mubset_requires_full_count():
     mubs = mub_complete_set(2)
     with pytest.raises(ValueError):

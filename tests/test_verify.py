@@ -126,7 +126,7 @@ def test_average_randomness_haar_oracle_compatible():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=404)
     samples = generate_expectation_samples(spec, expand(s), None, 100_000)
-    report = average_randomness(samples, s, 1, epsilon=0.01)
+    report = average_randomness(estimate_moment(samples, 1), s, epsilon=0.01)
     assert report.verdict == "compatible"
     assert report.mu_haar == pytest.approx(1.5, abs=1e-12)
     assert report.provenance["required_samples"] == 225_000
@@ -134,7 +134,7 @@ def test_average_randomness_haar_oracle_compatible():
 
 def test_average_randomness_degenerate_ensemble_incompatible():
     s = number_operator(3)
-    report = average_randomness([0.0] * 10_000, s, 1, epsilon=0.5)
+    report = average_randomness(estimate_moment([0.0] * 10_000, 1), s, epsilon=0.5)
     assert report.R == pytest.approx(-1.5)
     assert report.verdict == "incompatible"
 
@@ -145,7 +145,7 @@ def test_average_randomness_tiny_sample_has_huge_delta():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=9)
     samples = generate_expectation_samples(spec, expand(s), None, 2)
-    report = average_randomness(samples, s, 1, epsilon=0.01)
+    report = average_randomness(estimate_moment(samples, 1), s, epsilon=0.01)
     assert report.delta > 1.0
     assert report.verdict == "compatible"
 
@@ -153,7 +153,7 @@ def test_average_randomness_tiny_sample_has_huge_delta():
 def test_average_randomness_reports_exact_moment_without_slack():
     s = make_spectrum(tuple(range(1, 9)), (2,) * 8)
     samples = list(np.linspace(1.0, 8.0, 100))
-    report = average_randomness(samples, s, 6, epsilon=0.5)
+    report = average_randomness(estimate_moment(samples, 6), s, epsilon=0.5)
     assert "mu_method" not in report.provenance
     assert report.mu_haar == exact_moment(s, 6).value
     assert report.delta == sampling_error_bound(s, 6, 100)
@@ -167,7 +167,7 @@ def test_permutation_identity_reduces_to_average_randomness():
     perm = Permutation(_protocol_rng(0, "permutation", 2).permutation(8))
     samples = generate_expectation_samples(spec, apply_permutation(expand(s), perm), None,
                                            5_000, stream=(0, 0))
-    rep_obs = average_randomness(samples, s, 2, epsilon=0.05)
+    rep_obs = average_randomness(estimate_moment(samples, 2), s, epsilon=0.05)
     assert rep_perm.R == rep_obs.R
     assert rep_perm.delta == rep_obs.delta
     assert rep_perm.verdict == rep_obs.verdict
@@ -190,7 +190,7 @@ def test_permutation_tier_counterexample_incompatible():
     # same ensemble viewed through the unpermuted observable looks uniform
     a = natural_assignment(spec, s)
     samples = generate_expectation_samples(spec, a, None, 10_000)
-    assert average_randomness(samples, s, 1, epsilon=0.01).verdict == "compatible"
+    assert average_randomness(estimate_moment(samples, 1), s, epsilon=0.01).verdict == "compatible"
 
 
 def test_permutation_dispersion_separates_haar_from_counterexample():
@@ -273,7 +273,7 @@ def test_report_json_schema():
     s = number_operator(2)
     spec = EnsembleSpec(kind="haar", dimension=4, seed=8)
     samples = generate_expectation_samples(spec, expand(s), None, 1_000)
-    d = average_randomness(samples, s, 1, epsilon=0.1).to_json_dict()
+    d = average_randomness(estimate_moment(samples, 1), s, epsilon=0.1).to_json_dict()
     assert set(d) == {"tier", "t", "R", "delta", "epsilon", "mu_haar", "verdict", "provenance"}
     assert d["tier"] == "observable"
     assert d["verdict"] in ("compatible", "incompatible", "inconclusive")
