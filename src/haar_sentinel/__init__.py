@@ -1,6 +1,6 @@
 """Statistical verification of Haar-randomness via observable spectra."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .ensembles import (
     EnsembleSpec,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Optional, Sequence
 
-from . import __version__
-from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
+from . import __version__, streams
+from .ensembles import EnsembleSpec, check_keys, generate_expectation_samples, natural_assignment
 from .haar_moments import exact_moment, moment_bounds
 from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
 from .spectrum import Spectrum, require_int, require_real, require_str
@@ -88,6 +88,7 @@ class CampaignConfig:
             raise InputError("budgets M_perm and M_u must be at least 1")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
+        streams.check_seed(self.seed)
         if (self.ensemble is None) == (self.samples_path is None):
             raise InputError('config needs exactly one of "ensemble" (a spec to sample) and '
                              '"samples" (a samples file)')
@@ -121,9 +122,14 @@ def _load_ensemble(source, default_seed: Optional[int] = None) -> EnsembleSpec:
         raise InputError(f"invalid ensemble spec: {exc}") from exc
 
 
+CAMPAIGN_KEYS = ("spectrum", "ensemble", "samples", "tiers", "t", "epsilon", "budgets", "seed",
+                 "workers")
+
+
 def load_campaign(path: str, workers_override: Optional[int] = None) -> CampaignConfig:
     d = _load_json(path)
     try:
+        check_keys(d, CAMPAIGN_KEYS, "campaign config")
         seed = require_int(d["seed"], "seed")
         orders = d.get("t", 1)
         if not isinstance(orders, list):
@@ -131,6 +137,7 @@ def load_campaign(path: str, workers_override: Optional[int] = None) -> Campaign
         budgets = d.get("budgets", {})
         if not isinstance(budgets, dict):
             raise InputError(f"budgets must be an object, got {budgets!r}")
+        check_keys(budgets, ("M", "M_perm", "M_u"), "budgets")
         cfg = CampaignConfig(
             spectrum=_load_spectrum(d["spectrum"]),
             ensemble=(_load_ensemble(d["ensemble"], default_seed=seed)
@@ -242,7 +249,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = _load_ensemble(args.ensemble, default_seed=args.seed)
+    spec = _load_ensemble(args.ensemble)
     s = _load_spectrum(args.spectrum)
     assignment = natural_assignment(spec, s)
     values = generate_expectation_samples(spec, assignment, None, args.samples)
@@ -327,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True, help="ensemble spec JSON file")
     p.add_argument("--spectrum", required=True, help="spectrum JSON file")
     p.add_argument("--samples", "-M", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed fallback when the ensemble spec has none")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_generate)
 

@@ -15,9 +15,9 @@ Four ensemble kinds are supported:
 - ``dirichlet_amplitudes``: real non-negative amplitudes whose squares follow
   a caller-specified Dirichlet law.
 
-Every kind is sampled by one routine, probe_blocks: it draws the states of
-one seed-tree stream, a block at a time, and measures each by a list of
-probes.  The values are deterministic per (seed, basis index, permutation
+Every kind draws its states by one routine, state_blocks, a block of one
+seed-tree stream at a time, and probe_blocks measures them by one observable,
+the probe.  The values are deterministic per (seed, basis index, permutation
 index, sample index) and independent of worker count; see streams.py.
 """
 
@@ -43,7 +43,17 @@ from .spectrum import (
     require_real,
 )
 
-ENSEMBLE_KINDS = ("haar", "counterexample", "fixed_basis_state", "dirichlet_amplitudes")
+# The parameters each kind reads, and the keys of a spec's JSON form.
+PARAM_KEYS = {"haar": (), "counterexample": ("n",), "fixed_basis_state": ("basis_index",),
+              "dirichlet_amplitudes": ("alpha",)}
+SPEC_KEYS = ("kind", "N", "n", "seed", "params")
+
+
+def check_keys(d: dict, known: Sequence[str], what: str) -> None:
+    """Raise ValueError naming the first key of ``d`` outside ``known``."""
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what}; known: {', '.join(known) or 'none'}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +66,10 @@ class EnsembleSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
+        if self.kind not in PARAM_KEYS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        check_keys(self.params, PARAM_KEYS[self.kind], f"{self.kind} params")
+        streams.check_seed(self.seed)
         if self.kind == "haar":
             if not 2 <= self.dimension <= MAX_DIMENSION:
                 raise ValueError(f"haar dimension {self.dimension} outside 2..{MAX_DIMENSION}")
@@ -90,8 +102,12 @@ class EnsembleSpec:
 
     @staticmethod
     def from_json_dict(d: dict, default_seed: Optional[int] = None) -> "EnsembleSpec":
+        check_keys(d, SPEC_KEYS, "ensemble spec")
         kind = d["kind"]
-        params = dict(d.get("params", {}))
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
+        params = dict(params)
         ns = {require_int(source["n"], "n") for source in (d, params) if "n" in source}
         if len(ns) > 1:
             raise ValueError(f"n is {d['n']} but params.n is {params['n']}")
@@ -153,93 +169,82 @@ def _quadratic_form(basis: np.ndarray, support, diag: np.ndarray) -> np.ndarray:
     return (u.real * diag) @ u.real.T + (u.imag * diag) @ u.imag.T
 
 
-def probe_blocks(
+def state_blocks(
     spec: EnsembleSpec,
-    probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
     stream: tuple[int, int] = (0, 0),
-) -> Callable[[int, int], np.ndarray]:
-    """block(start, count): the (P, count) expectation values of samples start.. of one stream.
+    rotated: bool = False,
+) -> tuple[slice | Sequence[int], Callable[[int, int], np.ndarray]]:
+    """(support S, states): states(start, count) is the (count, |S|) block of samples start..
 
-    A probe is an (assignment, basis or None) pair; row k holds
-    <psi_i|O_k|psi_i> with O_k the diagonal observable of assignment k,
-    rotated into the columns of basis k when one is given (a MubBasis, checked
-    unitary when it was built).  ``stream`` is the (basis index, permutation
-    index) node of the seed tree; sample i draws from the fixed word range of
-    that node's stream, whose word w is output w of
-    PCG64DXSM(SeedSequence(stream_key(seed, u, p))) reached by advance(w), so
-    row k is bit-identical to a one-probe block.  Each block's states are
-    drawn once and measured by every probe.  Callers evaluate blocks on the
-    fixed grid of streams.chunked_samples, so no value depends on ``workers``.
-
-    Every kind has real amplitudes, so a rotated probe is one real quadratic
-    form on the state's support S, formed once per call: a block of c states
-    costs c |S|^2 multiply-adds per rotated probe instead of the 4 c |S| N of
-    the complex product U^dagger psi.
+    Row i holds state i's squared amplitudes on S, or its real amplitudes when
+    ``rotated``.  ``stream`` is the (basis index, permutation index) node of the
+    seed tree; sample i draws from a fixed word range of that node's stream,
+    whose word w is output w of PCG64DXSM(SeedSequence(stream_key(seed, u, p))).
     """
-    diags, bases = [], []
-    for a, basis in probes:
-        if a.dimension != spec.dimension:
-            raise ValueError(f"assignment dimension {a.dimension} != "
-                             f"ensemble dimension {spec.dimension}")
-        if basis is not None and basis.dimension != spec.dimension:
-            raise ValueError(f"basis dimension {basis.dimension} does not match "
-                             f"dimension {spec.dimension}")
-        diags.append(a.as_array())
-        bases.append(None if basis is None else basis.matrix)
     key = streams.stream_key(spec.seed, *stream)
-    plain = any(u is None for u in bases)
-    rotated = any(u is not None for u in bases)
-
     if spec.kind == "fixed_basis_state":
-        support = [spec.params["basis_index"]]
-
-        def states(s0, c):
-            ones = np.ones((c, 1))
-            return ones, ones
-    elif spec.kind == "haar":
-        support = slice(None)
+        return [spec.params["basis_index"]], lambda s0, c: np.ones((c, 1))
+    if spec.kind == "haar":
         n_dim = spec.dimension
 
         def states(s0, c):
-            """(masses, amplitudes) of the chunk, each only where a probe needs it."""
             z = streams.standard_normals(key, s0 * n_dim, c * n_dim).reshape(c, n_dim)
-            masses = None
-            if plain:
-                masses = z * z if rotated else np.square(z, out=z)
-                masses /= masses.sum(axis=1, keepdims=True)
             if rotated:
-                z /= np.linalg.norm(z, axis=1, keepdims=True)
-            return masses, z
+                return np.divide(z, np.linalg.norm(z, axis=1, keepdims=True), out=z)
+            np.square(z, out=z)
+            return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
+
+        return slice(None), states
+    # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
+    if spec.kind == "counterexample":
+        support = counterexample_support(spec.params["n"])
+        alpha = counterexample_alphas(spec.params["n"])
     else:
-        # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
-        if spec.kind == "counterexample":
-            support = counterexample_support(spec.params["n"])
-            alpha = counterexample_alphas(spec.params["n"])
-        else:
-            support = slice(None)
-            alpha = tuple(float(x) for x in spec.params["alpha"])
-        try:
-            streams.halfint_gamma_words(alpha)
-            gamma_matrix = streams.halfint_gamma_matrix
-        except ValueError:
-            gamma_matrix = streams.general_gamma_matrix
+        support = slice(None)
+        alpha = tuple(float(x) for x in spec.params["alpha"])
+    try:
+        streams.halfint_gamma_words(alpha)
+        gamma_matrix = streams.halfint_gamma_matrix
+    except ValueError:
+        gamma_matrix = streams.general_gamma_matrix
 
-        def states(s0, c):
-            g = gamma_matrix(key, s0, c, alpha)
-            g /= g.sum(axis=1, keepdims=True)
-            return g, (np.sqrt(g) if rotated else None)
+    def states(s0, c):
+        g = gamma_matrix(key, s0, c, alpha)
+        g /= g.sum(axis=1, keepdims=True)
+        return np.sqrt(g) if rotated else g
 
-    # Unrotated probes read masses against the diagonal on the support;
-    # rotated ones read amplitudes against their quadratic form.
-    measures = [(diag[support], None) if u is None else (None, _quadratic_form(u, support, diag))
-                for diag, u in zip(diags, bases)]
+    return support, states
+
+
+def probe_blocks(
+    spec: EnsembleSpec,
+    a: EigenAssignment,
+    basis: Optional[MubBasis] = None,
+    stream: tuple[int, int] = (0, 0),
+) -> Callable[[int, int], np.ndarray]:
+    """block(start, count): <psi_i|O|psi_i> for the states i of state_blocks(spec, stream).
+
+    O is the diagonal of assignment ``a``, rotated into the columns of
+    ``basis`` (a MubBasis, checked unitary when built) when one is given.
+    Every kind has real amplitudes, so a rotated O is one real quadratic form
+    on the support S, formed once per call: c |S|^2 multiply-adds per block
+    of c states instead of the 4 c |S| N of the complex product U^dagger psi.
+    """
+    if a.dimension != spec.dimension:
+        raise ValueError(f"assignment dimension {a.dimension} != "
+                         f"ensemble dimension {spec.dimension}")
+    if basis is not None and basis.dimension != spec.dimension:
+        raise ValueError(f"basis dimension {basis.dimension} does not match "
+                         f"dimension {spec.dimension}")
+    support, states = state_blocks(spec, stream, rotated=basis is not None)
+    if basis is None:
+        diag = a.as_array()[support]
+        return lambda s0, c: states(s0, c) @ diag
+    form = _quadratic_form(basis.matrix, support, a.as_array())
 
     def block(s0, c):
-        masses, amps = states(s0, c)
-        out = np.empty((len(measures), c))
-        for k, (diag, form) in enumerate(measures):
-            out[k] = masses @ diag if form is None else np.einsum("ij,ij->i", amps @ form, amps)
-        return out
+        amps = states(s0, c)
+        return np.einsum("ij,ij->i", amps @ form, amps)
 
     return block
 
@@ -254,12 +259,12 @@ def generate_expectation_samples(
 ) -> np.ndarray:
     """M raw expectation values <psi_i|O|psi_i>, deterministic per (seed, stream, i).
 
-    The one-probe blocks of probe_blocks, concatenated over the chunk grid of
+    The blocks of probe_blocks, concatenated over the chunk grid of
     streams.chunked_samples.  This holds all M values; the verification tiers
     instead reduce each block in the thread that drew it.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
-    block = probe_blocks(spec, [(a, basis)], stream)
-    return np.concatenate(streams.chunked_samples(m_samples, block, workers), axis=1)[0]
+    return np.concatenate(streams.chunked_samples(m_samples, probe_blocks(spec, a, basis, stream),
+                                                  workers))
 

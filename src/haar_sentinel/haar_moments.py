@@ -31,7 +31,7 @@ from .spectrum import Spectrum, trace
 
 LOG2 = log(2.0)
 
-# Unquantified relative slack of the lower bound; reported, never subtracted.
+# lower_slack = LOWER_SLACK_COEFF t / N bounds nothing (moment_bounds); the benchmark reads it.
 LOWER_SLACK_COEFF = 10.0
 
 
@@ -51,14 +51,13 @@ class MomentValue:
 class MomentBounds:
     """Bounds on the moment: the base value (Tr O / N)^t and the convexity bound.
 
-    ``lower`` is the base itself; the true moment may undercut it by a
-    relative margin of order t/N, reported as ``lower_slack`` rather than
-    folded into the bound with an invented constant.  ``upper`` bounds the
-    true moment; where the two meet (levels a few ulps apart) a computed
-    exact_moment can exceed it by its rounding error, which grows with N
-    through the log-gamma difference of the gamma ratio: against rational
-    arithmetic, for t <= 16, up to 8e-13 relative at N = 1024 and 1.1e-9 at
-    N = 2^20.
+    ``lower`` is the base itself, and mu_t >= (Tr O / N)^t holds exactly: x^t
+    is convex and E x = Tr O / N.  ``lower_slack`` = 10 t / N bounds nothing;
+    the benchmark reads it.  ``upper`` bounds the true moment; where the two
+    meet (levels a few ulps apart) a computed exact_moment can exceed it by
+    its rounding error, which grows with N through the log-gamma difference
+    of the gamma ratio: against rational arithmetic, for t <= 16, up to 8e-13
+    relative at N = 1024 and 1.1e-9 at N = 2^20.
     """
 
     t: int
@@ -145,9 +144,9 @@ def moment_bounds(s: Spectrum, t: int) -> MomentBounds:
     order.  The paper's estimate (Tr O / N)^t (1 + t^2 + (3/8) t^2 G / min_m^2)
     is not an upper bound: a small top level undercuts it at any t/N, e.g.
     eigenvalue 6 with multiplicity 3 beside 0 with multiplicity 1825, at t = 7
-    (t/N = 0.004), has a moment 16.7 times the estimate.  The lower side
-    carries an additional unquantified O(t/N) slack, exposed as
-    ``lower_slack`` = 10 t / N.
+    (t/N = 0.004), has a moment 16.7 times the estimate.  The lower side is
+    exact by Jensen's inequality: x^t is convex and E x = Tr O / N.
+    ``lower_slack`` = 10 t / N is reported beside it but bounds nothing.
     """
     if t < 1:
         raise ValueError("order must be at least 1")

@@ -55,13 +55,20 @@ def substream_id(*labels: int) -> int:
     return h
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside 0..2^64-1: a key holds 64 seed bits, so it would alias another."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed {seed} lies outside 0..2^64-1")
+
+
 def stream_key(seed: int, basis_index: int = 0, perm_index: int = 0) -> int:
     """128-bit entropy of one leaf of the seed tree; the one identity of its stream.
 
     The tree is seed -> basis index -> permutation index; sample index is
     resolved below by advancing the stream, not via the key.
     """
-    return ((int(seed) & _MASK64) << 64) | substream_id(basis_index, perm_index)
+    check_seed(seed)
+    return (int(seed) << 64) | substream_id(basis_index, perm_index)
 
 
 def generator(key: int, word_start: int = 0) -> Generator:

@@ -10,16 +10,17 @@ which makes the probed measurements tomographically complete.
 
 The two extended tiers are one protocol: the permutation tier is the mub tier
 with a single basis slot that holds no basis.  Every protocol draw comes from
-the campaign seed: order t of tier T draws its basis indices, then its
-permutations, from the generator _protocol_rng(seed, T, t): the stream of the
-seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(t, 0x70726F74)), whose
+the campaign seed: tier T draws its basis indices, then its permutations,
+once per campaign, from the generator _protocol_rng(seed, T): the stream of
+the seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(0x70726F74)), whose
 word w is output w of PCG64DXSM(SeedSequence(stream_key)), as for every
 sampling stream (see streams).
-Unit (u, p), basis slot u and permutation p, reads its states from seed-tree
-node (u, p) of the ensemble's seed, once for all orders.  The observable tier
-reads node (0, 0) too, so it measures the same states as extended unit (0, 0),
-and the permutation tier's nodes (0, p) are the mub tier's first slot: the
-tiers of one campaign are not independent samples.
+Unit (u, p), basis slot u and permutation p, measures one probe, O conjugated
+by its permutation and basis, on the states of seed-tree node (u, p) and
+reduces every order from those values, as the observable tier does with O.
+The observable tier reads node (0, 0) too, so it measures the same states as
+extended unit (0, 0), and the permutation tier's nodes (0, p) are the mub
+tier's first slot: the tiers of one campaign are not independent samples.
 
 Verdicts compare a discrepancy statistic R against the resolution delta that
 the sampling budget can support:
@@ -151,18 +152,18 @@ def load_samples(path: str, s: Spectrum) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _chunk_sums(values: np.ndarray, powers: Sequence[tuple[int, int]]) -> tuple[int, np.ndarray]:
-    """(c, [s, q]) of one chunk: for each (k, t) in powers, the sum s of the t-th
-    powers p = x**t of row k of the (P, c) values, and their centred sum of
-    squares q = sum((p - s/c)**2), both NumPy pairwise sums.
+def _chunk_sums(values: np.ndarray, orders: Sequence[int]) -> tuple[int, np.ndarray]:
+    """(c, [s, q]) of one chunk of c values: for each t in orders, the sum s of
+    the t-th powers p = x**t and their centred sum of squares
+    q = sum((p - s/c)**2), both NumPy pairwise sums.
 
     A sum that leaves double range is left infinite here; _merged refuses it.
     """
-    c = values.shape[1]
-    sums = np.empty((2, len(powers)))
+    c = values.size
+    sums = np.empty((2, len(orders)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (k, t) in enumerate(powers):
-            p = values[k] ** t
+        for j, t in enumerate(orders):
+            p = values ** t
             s = p.sum()
             p -= s / c
             sums[:, j] = s, np.multiply(p, p, out=p).sum()
@@ -170,8 +171,8 @@ def _chunk_sums(values: np.ndarray, powers: Sequence[tuple[int, int]]) -> tuple[
 
 
 def _merged(parts: Sequence[tuple[int, np.ndarray]],
-            powers: Sequence[tuple[int, int]]) -> list[MomentEstimate]:
-    """One estimate per (k, t) in powers from the _chunk_sums of the chunks, in index order.
+            orders: Sequence[int]) -> list[MomentEstimate]:
+    """One estimate per t in orders from the _chunk_sums of the chunks, in index order.
 
     The chunks are merged left to right (Chan, Golub and LeVeque):
     q = q_a + q_b + d**2 n_a n_b / n, with d the difference of their means.
@@ -185,17 +186,17 @@ def _merged(parts: Sequence[tuple[int, np.ndarray]],
             q = q + q_c + d * d * n * c / (n + c)
             s = s + s_c
             n += c
-    for j, (_, t) in enumerate(powers):
+    for j, t in enumerate(orders):
         if not (isfinite(s[j]) and isfinite(q[j])):
             raise ValueError(f"sample moment of order {t} exceeds double-precision range")
     return [MomentEstimate(t=t, mean=float(s[j] / n), variance=float(q[j] / (n - 1)),
                            m_samples=n)
-            for j, (_, t) in enumerate(powers)]
+            for j, t in enumerate(orders)]
 
 
 def _estimates(total: int, block: Callable[[int, int], np.ndarray],
-               powers: Sequence[tuple[int, int]], workers: int = 1) -> list[MomentEstimate]:
-    """Estimates of the t-th powers of row k of block(start, count), one per (k, t) in powers.
+               orders: Sequence[int], workers: int = 1) -> list[MomentEstimate]:
+    """Estimates of the t-th powers of the values block(start, count), one per t in orders.
 
     Each chunk of streams.chunked_samples is reduced in the thread that drew
     it and the chunks are merged in index order, so nothing holds more than
@@ -203,9 +204,9 @@ def _estimates(total: int, block: Callable[[int, int], np.ndarray],
     """
     if total < 2:
         raise ValueError("need at least two samples")
-    parts = streams.chunked_samples(total, lambda s0, c: _chunk_sums(block(s0, c), powers),
+    parts = streams.chunked_samples(total, lambda s0, c: _chunk_sums(block(s0, c), orders),
                                     workers)
-    return _merged(parts, powers)
+    return _merged(parts, orders)
 
 
 def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
@@ -215,7 +216,7 @@ def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
     ``generate`` and read back give the bits of the tier that drew them.
     """
     values = np.asarray(samples, dtype=float)
-    return _estimates(values.size, lambda s0, c: values[None, s0:s0 + c], [(0, t)])[0]
+    return _estimates(values.size, lambda s0, c: values[s0:s0 + c], [t])[0]
 
 
 def _signed_rms(deviations: np.ndarray) -> float:
@@ -241,8 +242,7 @@ def observable_estimates(
     it is drawn, so memory stays O(chunk) in m_samples; average_randomness
     turns each estimate into the observable tier's report.
     """
-    block = probe_blocks(spec, [(natural_assignment(spec, s), None)])
-    return _estimates(m_samples, block, [(0, t) for t in orders], workers)
+    return _estimates(m_samples, probe_blocks(spec, natural_assignment(spec, s)), orders, workers)
 
 
 def average_randomness(
@@ -266,9 +266,9 @@ def average_randomness(
                             epsilon=epsilon, mu_haar=mu, provenance=prov)
 
 
-def _protocol_rng(seed: int, tier: str, t: int) -> np.random.Generator:
-    """Generator of order t's protocol draws (basis picks, permutations) in an extended tier."""
-    key = streams.stream_key(seed, TIERS.index(tier) + 1, streams.substream_id(t, 0x70726F74))
+def _protocol_rng(seed: int, tier: str) -> np.random.Generator:
+    """Generator of an extended tier's protocol draws (basis picks, permutations)."""
+    key = streams.stream_key(seed, TIERS.index(tier) + 1, streams.substream_id(0x70726F74))
     return streams.generator(key)
 
 
@@ -277,58 +277,47 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
                          workers: int) -> list[RandomnessReport]:
     """One report per order over m_u basis slots of m_perm permutations each.
 
-    Order t's generator, _protocol_rng(seed, tier, t), draws m_u basis indices
-    as the first m_u entries of consecutive random orderings of the complete
-    set (mub tier only; the permutation tier has one slot with no basis), then
-    m_perm permutations per slot.  So the picks are distinct while
-    m_u <= N + 1, and each basis is picked floor or ceil of m_u / (N + 1)
-    times beyond that: a state visible in only some bases cannot slip past a
-    budget that covers the set.  Each distinct drawn basis is built once.  Unit i, the pair
-    (u, p) = divmod(i, m_perm), reads m_samples states from seed-tree node
-    (u, p) once and measures every order's probe on them; per order, R is the
-    signed RMS of the per-unit deviations and delta the resolution of the
-    pooled budget m_u * m_perm * m_samples.
+    The tier's generator, _protocol_rng(seed, tier), is drawn once per
+    campaign: m_u basis indices (mub tier only; the permutation tier has one
+    slot with no basis), the first m_u entries of consecutive random orderings
+    of the complete set, then m_u * m_perm permutations.  So the picks are
+    distinct while m_u <= N + 1 and balanced to within one beyond that: a
+    state visible in only some bases cannot slip past a budget that covers
+    the set.  Each distinct pick is built once.  Unit i, the pair
+    (u, p) = divmod(i, m_perm), measures one probe, O permuted by permutation
+    i and rotated into basis u, on m_samples states of seed-tree node (u, p),
+    and reduces every order from those values.  Per order, R is the signed
+    RMS of the per-unit deviations and delta the resolution of the pooled
+    budget m_u * m_perm * m_samples.
     """
     if m_u < 1 or m_perm < 1:
         raise ValueError("basis and permutation budgets must be at least 1")
     n_dim, n_units = s.dimension, m_u * m_perm
-    built = {None: None}
-    picks, perms = [], []  # per order: m_u basis indices, m_u * m_perm permutations
-    for t in orders:
-        rng = _protocol_rng(seed, tier, t)
-        drawn = [None]
-        if tier == "mub":
-            orderings = [rng.permutation(n_dim + 1) for _ in range(-(-m_u // (n_dim + 1)))]
-            drawn = [int(b) for b in np.concatenate(orderings)[:m_u]]
-        for b in drawn:
-            if b not in built:
-                built[b] = mub_basis(n_dim, b)
-        picks.append(drawn)
-        perms.append([Permutation(rng.permutation(n_dim)) for _ in range(n_units)])
+    rng = _protocol_rng(seed, tier)
+    picks, bases = [None], {None: None}
+    if tier == "mub":
+        orderings = [rng.permutation(n_dim + 1) for _ in range(-(-m_u // (n_dim + 1)))]
+        picks = [int(b) for b in np.concatenate(orderings)[:m_u]]
+        bases = {b: mub_basis(n_dim, b) for b in set(picks)}
+    perms = [Permutation(rng.permutation(n_dim)) for _ in range(n_units)]
     base = natural_assignment(spec, s)
-    mus = [exact_moment(s, t).value for t in orders]
-    deltas = [sampling_error_bound(s, t, n_units * m_samples) for t in orders]
-    means = [[] for _ in orders]
-    for i in range(n_units):
+    means = []  # per unit, one mean per order
+    for i, perm in enumerate(perms):
         u, p = divmod(i, m_perm)
-        block = probe_blocks(spec, [(apply_permutation(base, perms[k][i]), built[picks[k][u]])
-                                    for k in range(len(orders))], stream=(u, p))
-        for k, est in enumerate(_estimates(m_samples, block, list(enumerate(orders)), workers)):
-            means[k].append(est.mean)
+        block = probe_blocks(spec, apply_permutation(base, perm), bases[picks[u]], (u, p))
+        means.append([est.mean for est in _estimates(m_samples, block, orders, workers)])
+    prov = {"seed": spec.seed, "campaign_seed": seed, "M": m_samples, "M_perm": m_perm}
+    if tier == "mub":
+        prov.update(M_u=m_u, basis_indices=picks, basis_labels=[bases[b].label for b in picks])
+    prov["permutations"] = [sha256(perm.mapping.tobytes()).hexdigest()[:12] for perm in perms]
+    means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
     reports = []
-    for k, t in enumerate(orders):
-        prov = {"seed": spec.seed, "campaign_seed": seed, "M": m_samples, "M_perm": m_perm}
-        if tier == "mub":
-            prov.update(M_u=m_u, basis_indices=picks[k],
-                        basis_labels=[built[b].label for b in picks[k]])
-        prov.update({
-            "permutations": [sha256(perm.mapping.tobytes()).hexdigest()[:12]
-                             for perm in perms[k]],
-            "per_perm_means" if tier == "permutation" else "per_unit_means": means[k],
-        })
+    for t, unit_means in zip(orders, map(list, zip(*means))):
+        mu = exact_moment(s, t).value
         reports.append(RandomnessReport(
-            tier=tier, t=t, R=_signed_rms(np.asarray(means[k]) - mus[k]),
-            delta=deltas[k], epsilon=epsilon, mu_haar=mus[k], provenance=prov,
+            tier=tier, t=t, R=_signed_rms(np.asarray(unit_means) - mu),
+            delta=sampling_error_bound(s, t, n_units * m_samples), epsilon=epsilon,
+            mu_haar=mu, provenance={**prov, means_key: unit_means},
         ))
     return reports
 
@@ -345,9 +334,9 @@ def permutation_randomness(
 ) -> list[RandomnessReport]:
     """Permutation-tier reports, one per order, over m_perm uniform eigenbasis relabelings.
 
-    The mub tier with a single slot and no basis: permutation p of every
-    order reads seed-tree node (0, p), and order t draws its permutations
-    from the campaign seed's generator for (permutation, t).
+    The mub tier with a single slot and no basis: permutation p reads
+    seed-tree node (0, p) and serves every order; the permutations are drawn
+    once per campaign from the generator of (campaign seed, permutation).
     """
     return _extended_randomness("permutation", spec, s, orders, 1, m_perm, m_samples,
                                 epsilon, seed, workers)

@@ -2,14 +2,13 @@
 
 from fractions import Fraction
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import PCG64DXSM, SeedSequence
 
 from haar_sentinel import streams
-from haar_sentinel.ensembles import EnsembleSpec, probe_blocks
-from haar_sentinel.mub import MubBasis
+from haar_sentinel.ensembles import EnsembleSpec, state_blocks
 from haar_sentinel.spectrum import EigenAssignment, Spectrum, make_spectrum
 
 
@@ -61,18 +60,20 @@ def raw_words(key: int, word_start: int, count: int) -> np.ndarray:
 
 def generate_probe_samples(
     spec: EnsembleSpec,
-    probes: Sequence[tuple[EigenAssignment, Optional[MubBasis]]],
+    probes: Sequence[EigenAssignment],
     m_samples: int,
     stream: tuple[int, int] = (0, 0),
     workers: int = 1,
 ) -> np.ndarray:
-    """(M, P) expectation values: M states of one stream, each measured by P probes.
+    """(M, P) expectation values: M states of one stream, each measured by P diagonal probes.
 
-    Column k holds probe k's values, assembled from probe_blocks over the
-    chunk grid of streams.chunked_samples, so it is bit-identical to what the
-    package's samplers draw for that probe.
+    The masses of ensembles.state_blocks, drawn once over the chunk grid of
+    streams.chunked_samples, times the probe diagonals on the state's support;
+    a one-hot probe's column is exactly its basis state's mass.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
-    block = probe_blocks(spec, probes, stream)
-    return np.concatenate(streams.chunked_samples(m_samples, block, workers), axis=1).T
+    support, states = state_blocks(spec, stream)
+    diags = np.stack([a.as_array()[support] for a in probes], axis=1)
+    return np.concatenate(streams.chunked_samples(m_samples, lambda s0, c: states(s0, c) @ diags,
+                                                  workers))

@@ -156,7 +156,7 @@ def test_criterion_08_dirichlet_aggregation_property(one_hot_probes):
         summed = generate_probe_samples(
             EnsembleSpec(kind="dirichlet_amplitudes", dimension=8, seed=2300 + trial,
                          params={"alpha": [0.5] * 8}),
-            [(EigenAssignment(ind), None) for ind in indicators], 100_000,
+            [EigenAssignment(ind) for ind in indicators], 100_000,
         )
         direct = generate_probe_samples(
             EnsembleSpec(kind="dirichlet_amplitudes", dimension=n_groups, seed=2400 + trial,

@@ -349,30 +349,34 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
     assert json.dumps(reports, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
-def _per_order_reference(cfg, tier):
-    """Extended-tier reports built order by order, one one-probe draw per unit and order."""
+def _per_tier_reference(cfg, tier):
+    """Extended-tier reports built by hand: one protocol draw per tier, one sample array per unit.
+
+    Each unit's values are drawn once by generate_expectation_samples and
+    every order is estimated from that one array.
+    """
     s, spec, m = cfg.spectrum, cfg.ensemble, cfg.m_samples
     base = natural_assignment(spec, s)
+    rng = verify._protocol_rng(cfg.seed, tier)
+    extra = {"M_perm": cfg.m_perm}
+    if tier == "permutation":
+        units = [((0, p), None, Permutation(rng.permutation(s.dimension)))
+                 for p in range(cfg.m_perm)]
+    else:
+        mubs = mub_complete_set(s.dimension)
+        rounds = -(-cfg.m_u // len(mubs))
+        picks = [int(b) for b in
+                 np.concatenate([rng.permutation(len(mubs)) for _ in range(rounds)])[:cfg.m_u]]
+        units = [((u, p), mubs.bases[b], Permutation(rng.permutation(s.dimension)))
+                 for u, b in enumerate(picks) for p in range(cfg.m_perm)]
+        extra.update(M_u=cfg.m_u, basis_indices=picks,
+                     basis_labels=[mubs.bases[b].label for b in picks])
+    values = [cli.generate_expectation_samples(spec, apply_permutation(base, perm), basis, m,
+                                               stream=stream, workers=cfg.workers)
+              for stream, basis, perm in units]
     reports = []
     for t in cfg.orders:
-        rng = verify._protocol_rng(cfg.seed, tier, t)
-        extra = {"M_perm": cfg.m_perm}
-        if tier == "permutation":
-            units = [((0, p), None, Permutation(rng.permutation(s.dimension)))
-                     for p in range(cfg.m_perm)]
-        else:
-            mubs = mub_complete_set(s.dimension)
-            rounds = -(-cfg.m_u // len(mubs))
-            picks = [int(b) for b in
-                     np.concatenate([rng.permutation(len(mubs)) for _ in range(rounds)])[:cfg.m_u]]
-            units = [((u, p), mubs.bases[b], Permutation(rng.permutation(s.dimension)))
-                     for u, b in enumerate(picks) for p in range(cfg.m_perm)]
-            extra.update(M_u=cfg.m_u, basis_indices=picks,
-                         basis_labels=[mubs.bases[b].label for b in picks])
-        means = [estimate_moment(cli.generate_expectation_samples(
-                     spec, apply_permutation(base, perm), basis, m, stream=stream,
-                     workers=cfg.workers), t).mean
-                 for stream, basis, perm in units]
+        means = [estimate_moment(v, t).mean for v in values]
         deviations = np.asarray(means) - exact_moment(s, t).value
         rms = float(np.sqrt(np.mean(deviations**2)))
         r_value = rms if float(np.sum(deviations)) >= 0 else -rms
@@ -419,7 +423,7 @@ def test_permutation_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
     assert [(r["t"], r["tier"]) for r in reports] == [
         (1, "observable"), (1, "permutation"), (2, "observable"), (2, "permutation")]
     assert json.dumps(reports[1::2], sort_keys=True) == \
-        json.dumps(_per_order_reference(cfg, "permutation"), sort_keys=True)
+        json.dumps(_per_tier_reference(cfg, "permutation"), sort_keys=True)
 
 
 def test_mub_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
@@ -452,7 +456,30 @@ def test_mub_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
 
     monkeypatch.setattr(streams, "standard_normals", normals)
     assert json.dumps(reports, sort_keys=True) == \
-        json.dumps(_per_order_reference(cfg, "mub"), sort_keys=True)
+        json.dumps(_per_tier_reference(cfg, "mub"), sort_keys=True)
+
+
+@pytest.mark.parametrize("tier", ["permutation", "mub"])
+def test_extended_tier_orders_share_one_protocol_draw(tmp_path, tier):
+    """Order t's report does not depend on which other orders the campaign asks for.
+
+    Each unit measures one probe and reduces every order from its values, so
+    a campaign for [t] and one for [1, ..., 4] give the same order-t report,
+    and within one campaign every order names the same permutations and bases.
+    """
+    def run(orders):
+        cfg = _campaign(tmp_path, spectrum={"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 2]},
+                        ensemble={"kind": "haar", "N": 5, "seed": 46}, tiers=[tier],
+                        t=orders, budgets={"M": 300, "M_perm": 3, "M_u": 2}, seed=46)
+        return cli.run_campaign(load_campaign(cfg))
+
+    full = run([1, 2, 3, 4])
+    for t in (1, 3, 4):
+        [alone] = run([t])
+        assert json.dumps(alone, sort_keys=True) == json.dumps(full[t - 1], sort_keys=True)
+    keys = ("permutations", "basis_indices") if tier == "mub" else ("permutations",)
+    for r in full[1:]:
+        assert [r["provenance"][k] for k in keys] == [full[0]["provenance"][k] for k in keys]
 
 
 def test_mub_tier_builds_only_the_drawn_bases(tmp_path, monkeypatch):
@@ -611,10 +638,10 @@ PINNED_CAMPAIGNS = {
                              {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
 }
 PINNED_SAMPLING_DIGESTS = {
-    "haar": "c4da7233896cc096",
-    "counterexample": "d30e80b5cc17f686",
-    "fixed_basis_state": "642a359ceb58da19",
-    "dirichlet_amplitudes": "6e36e8541060643a",
+    "haar": "1b0e5a67ac5ba6b6",
+    "counterexample": "4988edb1b5b45b2e",
+    "fixed_basis_state": "f7d4ebe64a1d5e13",
+    "dirichlet_amplitudes": "57a9097a87144b7a",
 }
 
 
@@ -853,6 +880,58 @@ def test_ensemble_spec_states_n_once(tmp_path, capsys, ensemble, problem):
                  "-M", "10", "--out", str(out)]) == EXIT_INPUT
     assert problem in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"tier": ["permutation"]}, "'tier'"),
+    ({"budget": {"M": 50}}, "'budget'"),
+    ({"ensemble": {"kind": "fixed_basis_state", "N": 3, "seed": 17,
+                   "params": [["basis_index", 1]]}}, "params must be an object"),
+    ({"ensemble": {"kind": "haar", "N": 3, "seed": 17, "params": {"alpha": [1, 1, 1]}}},
+     "'alpha' in haar params"),
+    ({"budgets": {"M": 100, "M_U": 2}}, "'M_U' in budgets"),
+    ({"ensemble": {"kind": "haar", "N": 3, "seed": 17, "sed": 4}}, "'sed' in ensemble spec"),
+])
+def test_verify_refuses_unknown_keys(tmp_path, capsys, change, key):
+    assert main(["verify", "--config", _campaign(tmp_path, **change)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["seed", "ensemble seed"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_seeds_must_lie_in_64_bits(tmp_path, capsys, field, seed):
+    # seed and seed mod 2^64 would draw byte-identical reports
+    change = ({"seed": seed} if field == "seed"
+              else {"ensemble": {"kind": "haar", "N": 3, "seed": seed}})
+    assert main(["verify", "--config", _campaign(tmp_path, **change)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"seed {seed} lies outside 0..2^64-1" in captured.err
+    assert captured.out == ""
+
+
+def test_generate_needs_a_seed_in_the_spec(tmp_path, capsys):
+    out = tmp_path / "samples.csv"
+    assert main(["generate", "--ensemble", write_json(tmp_path, "e.json", {"kind": "haar", "N": 2}),
+                 "--spectrum", write_json(tmp_path, "s.json", QUBIT),
+                 "-M", "10", "--out", str(out)]) == EXIT_INPUT
+    assert "ensemble spec needs a seed" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:  # the flag is gone; argparse refuses it
+        main(["generate", "--ensemble", "e.json", "--spectrum", "s.json", "-M", "10",
+              "--out", str(out), "--seed", "3"])
+    assert exc.value.code == EXIT_INPUT
+
+
+def test_pyproject_version_is_the_package_version():
+    import re
+
+    import haar_sentinel
+
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml")) as fh:
+        [version] = re.findall(r'^version = "([^"]+)"$', fh.read(), flags=re.M)
+    assert version == haar_sentinel.__version__
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

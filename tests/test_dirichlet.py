@@ -127,7 +127,7 @@ def test_aggregation_matches_group_sums_in_distribution(one_hot_probes):
             labels = rng.integers(0, n_groups, size=d)
         indicators = [(labels == g).astype(float) for g in range(n_groups)]
         summed = generate_probe_samples(dirichlet_spec(alpha, 7000 + trial),
-                                        [(EigenAssignment(ind), None) for ind in indicators],
+                                        [EigenAssignment(ind) for ind in indicators],
                                         100_000)
         direct = generate_probe_samples(dirichlet_spec([ind @ alpha for ind in indicators],
                                                        7100 + trial),

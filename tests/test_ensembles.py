@@ -199,9 +199,12 @@ def test_ensemble_spec_validation():
 
 
 def test_ensemble_spec_json_round_trip():
-    spec = EnsembleSpec(kind="counterexample", dimension=16, seed=42, params={"n": 4})
-    again = EnsembleSpec.from_json_dict(spec.to_json_dict())
-    assert again == spec
+    for spec in (EnsembleSpec(kind="counterexample", dimension=16, seed=42, params={"n": 4}),
+                 EnsembleSpec(kind="fixed_basis_state", dimension=3, seed=2**64 - 1,
+                              params={"basis_index": 2}),
+                 EnsembleSpec(kind="dirichlet_amplitudes", dimension=2, seed=0,
+                              params={"alpha": [0.5, 1.5]})):
+        assert EnsembleSpec.from_json_dict(spec.to_json_dict()) == spec
     plain = EnsembleSpec.from_json_dict({"kind": "haar", "N": 8, "seed": 3})
     assert plain.dimension == 8
 

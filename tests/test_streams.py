@@ -46,3 +46,11 @@ def test_halfint_gamma_rows_are_rows_of_one_large_call(s0, count):
     whole = streams.halfint_gamma_matrix(key, 0, 3000, alpha)
     part = streams.halfint_gamma_matrix(key, s0, count, alpha)
     assert part.tobytes() == whole[s0:s0 + count].tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+def test_keys_refuse_seeds_outside_64_bits(seed):
+    # masking would give seed and seed mod 2^64 one stream
+    with pytest.raises(ValueError, match=f"seed {seed} lies outside 0..2\\^64-1"):
+        streams.stream_key(seed)
+    assert streams.stream_key(2**64 - 1, 2, 3) >> 64 == 2**64 - 1

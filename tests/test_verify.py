@@ -164,7 +164,7 @@ def test_permutation_identity_reduces_to_average_randomness():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=99)
     [rep_perm] = permutation_randomness(spec, s, [2], 1, 5_000, 0.05, seed=0)
-    perm = Permutation(_protocol_rng(0, "permutation", 2).permutation(8))
+    perm = Permutation(_protocol_rng(0, "permutation").permutation(8))
     samples = generate_expectation_samples(spec, apply_permutation(expand(s), perm), None,
                                            5_000, stream=(0, 0))
     rep_obs = average_randomness(estimate_moment(samples, 2), s, epsilon=0.05)
