@@ -10,7 +10,8 @@ of failed campaigns.  Nothing under perfbench/ is written to; the configs go to
 a temporary directory.
 
 Usage, from the root of a checkout: python scripts/verdict_rates.py [K] [workload_seed]
-(defaults: K = 150, workload_seed = 424242)
+(defaults: K = 150, workload_seed = 424242).  Exits 1 when any campaign
+fails, so a change to the streams cannot flip a benchmark verdict unseen.
 """
 
 import os
@@ -28,6 +29,7 @@ def main(argv):
     k = int(argv[1]) if len(argv) > 1 else 150
     workload_seed = int(argv[2]) if len(argv) > 2 else 424242
     print(f"{k} campaigns per workload, workload seed {workload_seed}")
+    any_failed = False
     with tempfile.TemporaryDirectory() as workdir:
         for name, campaign in VERIFY_CAMPAIGNS.items():
             start = time.perf_counter()
@@ -41,7 +43,8 @@ def main(argv):
                   f"({time.perf_counter() - start:.1f} s)")
             for i, problems in failed:
                 print(f"  campaign {i}: {'; '.join(problems)}")
-    return 0
+            any_failed = any_failed or bool(failed)
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

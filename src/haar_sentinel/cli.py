@@ -11,9 +11,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import platform
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -21,10 +24,10 @@ from math import isfinite
 from typing import Optional, Sequence
 
 from . import __version__, streams
-from .ensembles import EnsembleSpec, check_keys, generate_expectation_samples, natural_assignment
+from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
 from .haar_moments import exact_moment, moment_bounds
 from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
-from .spectrum import Spectrum, require_int, require_real, require_str
+from .spectrum import Spectrum, check_keys, require_int, require_real, require_str
 from .verify import (
     TIERS,
     average_randomness,
@@ -215,6 +218,23 @@ def run_campaign(cfg: CampaignConfig) -> list[dict]:
             for k in range(len(cfg.orders)) for tier in cfg.tiers]
 
 
+@contextlib.contextmanager
+def _overwrite(path: str):
+    """A text file that replaces the contents of ``path``, written over the old bytes.
+
+    Opening with "w" truncates a file to zero length, and ext4 (auto_da_alloc)
+    then starts writeback of the new contents when the file is closed: about
+    0.1 ms per output file, with tails of milliseconds.  Here a regular file
+    is cut to the new length after the write instead, so writeback keeps the
+    kernel's usual schedule.  Pipes and devices are written as with "w".
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        yield fh
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def exit_code_for(verdicts: Sequence[str]) -> int:
     if any(v == "incompatible" for v in verdicts):
         return EXIT_INCOMPATIBLE
@@ -242,7 +262,7 @@ def _cmd_moments(args) -> int:
         else:
             print(f"{row['t']:>3}  {'bounds':<8}  [{row['lower']:.12g}, {row['upper']:.12g}]")
     if args.out:
-        with open(args.out, "w") as fh:
+        with _overwrite(args.out) as fh:
             json.dump({"spectrum": s.to_json_dict(), "moments": rows}, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
@@ -253,7 +273,7 @@ def _cmd_generate(args) -> int:
     s = _load_spectrum(args.spectrum)
     assignment = natural_assignment(spec, s)
     values = generate_expectation_samples(spec, assignment, None, args.samples)
-    with open(args.out, "w") as fh:
+    with _overwrite(args.out) as fh:
         fh.write("sample\n")
         for v in values:
             fh.write(f"{float(v)!r}\n")
@@ -274,7 +294,7 @@ def _cmd_verify(args) -> int:
     }
     document = {"meta": meta, "reports": reports}
     if args.out:
-        with open(args.out, "w") as fh:
+        with _overwrite(args.out) as fh:
             json.dump(document, fh, indent=2, sort_keys=True)
             fh.write("\n")
     for r in reports:
@@ -295,7 +315,7 @@ def _cmd_mub(args) -> int:
         mubs = mub_complete_set(args.dimension)
         payload = mubs.to_json_dict()
         if args.out:
-            with open(args.out, "w") as fh:
+            with _overwrite(args.out) as fh:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
         else:

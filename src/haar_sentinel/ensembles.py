@@ -36,6 +36,7 @@ from .spectrum import (
     EigenAssignment,
     MAX_DIMENSION,
     Spectrum,
+    check_keys,
     expand,
     number_operator,
     number_operator_assignment,
@@ -48,12 +49,8 @@ PARAM_KEYS = {"haar": (), "counterexample": ("n",), "fixed_basis_state": ("basis
               "dirichlet_amplitudes": ("alpha",)}
 SPEC_KEYS = ("kind", "N", "n", "seed", "params")
 
-
-def check_keys(d: dict, known: Sequence[str], what: str) -> None:
-    """Raise ValueError naming the first key of ``d`` outside ``known``."""
-    for key in d:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in {what}; known: {', '.join(known) or 'none'}")
+# Values per row block of a rotated probe's product amps @ K (64 KiB).
+FORM_BLOCK_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -180,17 +177,23 @@ def state_blocks(
     ``rotated``.  ``stream`` is the (basis index, permutation index) node of the
     seed tree; sample i draws from a fixed word range of that node's stream,
     whose word w is output w of PCG64DXSM(SeedSequence(stream_key(seed, u, p))).
+    A Haar state i is the first N normals of words [iW, (i + 1)W),
+    W = N + (N mod 2); its masses are the squares of its amplitudes, so a
+    state is the same state whether it is measured rotated or not.
     """
     key = streams.stream_key(spec.seed, *stream)
     if spec.kind == "fixed_basis_state":
         return [spec.params["basis_index"]], lambda s0, c: np.ones((c, 1))
     if spec.kind == "haar":
+        # Box-Muller normals come in pairs: an odd N draws one spare normal per state
         n_dim = spec.dimension
+        words = n_dim + n_dim % 2
 
         def states(s0, c):
-            z = streams.standard_normals(key, s0 * n_dim, c * n_dim).reshape(c, n_dim)
+            z = streams.standard_normals(key, s0 * words, c * words).reshape(c, words)[:, :n_dim]
             if rotated:
-                return np.divide(z, np.linalg.norm(z, axis=1, keepdims=True), out=z)
+                # einsum sums the squares without a temporary the size of z
+                return np.divide(z, np.sqrt(np.einsum("ij,ij->i", z, z))[:, None], out=z)
             np.square(z, out=z)
             return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
@@ -241,10 +244,18 @@ def probe_blocks(
         diag = a.as_array()[support]
         return lambda s0, c: states(s0, c) @ diag
     form = _quadratic_form(basis.matrix, support, a.as_array())
+    # amps @ form row block by row block: a (c, |S|) product beside the states
+    # would double the block's memory, which the allocator returns to the
+    # system after every unit and takes back, a page fault at a time
+    rows = max(1, FORM_BLOCK_VALUES // form.shape[0])
 
     def block(s0, c):
         amps = states(s0, c)
-        return np.einsum("ij,ij->i", amps @ form, amps)
+        values = np.empty(c)
+        for i in range(0, c, rows):
+            part = amps[i:i + rows]
+            values[i:i + rows] = np.einsum("ij,ij->i", part @ form, part)
+        return values
 
     return block
 

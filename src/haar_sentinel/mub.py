@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .spectrum import require_int
+from .spectrum import check_keys, require_int
 
 UNBIASED_TOL = 1e-10
 
@@ -97,9 +97,11 @@ class MubSet:
     @staticmethod
     def from_json_dict(d: dict) -> "MubSet":
         # columns[j][i] = [re, im] of entry i of basis vector j
+        check_keys(d, ("dimension", "bases"), "MUB set")
         n_dim = require_int(d["dimension"], "dimension")
         bases = []
         for e in d["bases"]:
+            check_keys(e, ("label", "columns"), "MUB basis")
             columns = np.asarray(e["columns"], dtype=float)
             if columns.shape != (n_dim, n_dim, 2):
                 raise ValueError(f"basis {e['label']!r}: columns of shape {columns.shape}, "

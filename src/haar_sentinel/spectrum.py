@@ -18,6 +18,13 @@ import numpy as np
 MAX_DIMENSION = 2**20  # dense assignments only; desk-scale arrays
 
 
+def check_keys(d: dict, known: Sequence[str], what: str) -> None:
+    """Raise ValueError naming the first key of ``d`` outside ``known``."""
+    for key in d:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what}; known: {', '.join(known) or 'none'}")
+
+
 def require_int(value, name: str) -> int:
     """An integer input field as an int; a bool, float or string raises ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -98,6 +105,7 @@ class Spectrum:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Spectrum":
+        check_keys(d, ("eigenvalues", "multiplicities"), "spectrum")
         return make_spectrum(d["eigenvalues"], d["multiplicities"])
 
 

@@ -11,9 +11,16 @@ through Generator.random in about 2.2 ns against 5.3 ns (2-core x86-64
 machine); streams drawn by 0.1.x cannot be redrawn by later versions.
 
 All transforms applied to those words consume a fixed number of words per
-sample (inverse-CDF transforms; gamma variates with half-integer shape are
-built from exact exponential and half-normal-squared summands), which is what
-keeps the per-sample word ranges static.
+sample, which is what keeps the per-sample word ranges static.  Standard
+normals come from the Box-Muller transform (Box and Muller, Ann. Math. Stat.
+29, 610 (1958)), two normals per pair of consecutive words, written with the
+half-angle tangent; since package 0.4.0 it replaces the inverse normal CDF of
+scipy, whose import cost every sampling command about 0.2 s and 17 MiB.
+Gamma variates with half-integer shape are sums of exact unit exponentials
+(-log u) and halves of squared Box-Muller normals.  The bits therefore depend
+on NumPy's dispatched float64 ``log`` and ``tan`` as well as on the words:
+one NumPy build on one CPU family always gives the same values, another may
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 T = TypeVar("T")
 
-# scipy.special is imported by the functions that sample, on first use: the
-# import takes about 0.3 s and 18 MiB of resident memory on a 2-core x86-64
+# scipy.special is imported by general_gamma_matrix alone, on first use: the
+# import takes about 0.2 s and 17 MiB of resident memory on a 2-core x86-64
 # machine (scipy's array-API shim runs ``from numpy import *``, which loads
-# numpy.f2py and numpy.testing), and the commands that never sample (moments,
-# mub dump, mub check) would otherwise pay it at package import.
+# numpy.f2py and numpy.testing), and only Dirichlet shapes that are not
+# half-integers need its inverse incomplete gamma function.
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -92,22 +99,62 @@ def uniforms(key: int, word_start: int, count: int) -> np.ndarray:
     return u
 
 
-def standard_normals(key: int, word_start: int, count: int) -> np.ndarray:
-    from scipy.special import ndtri
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms on (0, 1), in place; the last axis pairs consecutive entries.
 
-    u = uniforms(key, word_start, count)
-    return ndtri(u, out=u)
+    Pair (a, b) gives r = sqrt(-2 log a) and t = tan(pi (b - 1/2)) = tan(theta/2)
+    with theta uniform on (-pi, pi), and then the normals r cos(theta) =
+    r (1 - t^2)/(1 + t^2) and r sin(theta) = r 2t/(1 + t^2).  The tangent is
+    NumPy's vectorized loop where sin and cos are scalar ones, about ten times
+    dearer per value.  Uniforms of the word format have a >= 2^-54 and
+    |pi (b - 1/2)| <= fl(pi)/2, where |t| is at most about 1.6e16, so nothing
+    overflows and no warning fires.  The one temporary is half the size of ``u``.
+    """
+    a, b = u[..., 0::2], u[..., 1::2]
+    np.log(a, out=a)
+    a *= -2.0
+    np.sqrt(a, out=a)
+    b -= 0.5
+    b *= np.pi
+    np.tan(b, out=b)
+    s = np.square(b)
+    s += 1.0
+    np.divide(2.0, s, out=s)  # 2/(1 + t^2)
+    b *= s
+    b *= a
+    s -= 1.0  # (1 - t^2)/(1 + t^2)
+    a *= s
+    return u
+
+
+def standard_normals(key: int, word_start: int, count: int) -> np.ndarray:
+    """Normals of words [word_start, word_start + count), one per word; count is even.
+
+    Words word_start + 2k and word_start + 2k + 1 are the pair of _box_muller
+    that gives normals 2k and 2k + 1.
+    """
+    if count % 2:
+        raise ValueError(f"Box-Muller normals come in pairs; {count} words is odd")
+    return _box_muller(uniforms(key, word_start, count))
+
+
+def _halfint_layout(alpha: Sequence[float]) -> tuple[list[int], list[int]]:
+    """(exponential words per column, columns with a Gamma(1/2) part) of a half-integer alpha."""
+    whole, halves = [], []
+    for j, a in enumerate(alpha):
+        m = int(a)
+        if a - m not in (0.0, 0.5) or a <= 0:
+            raise ValueError(f"shape {a} is not a positive half-integer")
+        whole.append(m)
+        if a - m == 0.5:
+            halves.append(j)
+    return whole, halves
 
 
 def halfint_gamma_words(alpha: Sequence[float]) -> int:
     """Words consumed per sample by halfint_gamma_matrix for this alpha."""
-    total = 0
-    for a in alpha:
-        m = int(a)
-        if a - m not in (0.0, 0.5) or a <= 0:
-            raise ValueError(f"shape {a} is not a positive half-integer")
-        total += m + (1 if a - m == 0.5 else 0)
-    return total
+    whole, halves = _halfint_layout(alpha)
+    return sum(whole) + len(halves) + len(halves) % 2
 
 
 def halfint_gamma_matrix(key: int, start_sample: int, count: int,
@@ -115,27 +162,27 @@ def halfint_gamma_matrix(key: int, start_sample: int, count: int,
     """(count, len(alpha)) exact Gamma(alpha_j, 1) variates, fixed word budget.
 
     Gamma(m) is a sum of m unit exponentials; Gamma(1/2) is half a squared
-    standard normal; Gamma(m + 1/2) is their independent sum.  Each column
-    therefore consumes exactly int(a) + (a is half-integral) words.
+    standard normal; Gamma(m + 1/2) is their independent sum.  A sample's
+    words are first int(a_j) exponential words per column j, column by
+    column, then one Box-Muller normal per half-integer column, h of them in
+    h + (h mod 2) words: halfint_gamma_words(alpha) in all.
     """
-    from scipy.special import ndtri
-
+    whole, halves = _halfint_layout(alpha)
+    n_exp = sum(whole)
     words_per = halfint_gamma_words(alpha)
-    u = uniforms(key, start_sample * words_per, count * words_per)
-    u = u.reshape(count, words_per)
-    out = np.empty((count, len(alpha)))
-    col = 0
-    for j, a in enumerate(alpha):
-        m = int(a)
-        g = np.zeros(count)
-        if m:
-            g -= np.log(u[:, col:col + m]).sum(axis=1)
-            col += m
-        if a - m == 0.5:
-            z = ndtri(u[:, col])
-            g += 0.5 * z * z
-            col += 1
-        out[:, j] = g
+    u = uniforms(key, start_sample * words_per, count * words_per).reshape(count, words_per)
+    out = np.zeros((count, len(alpha)))
+    if n_exp:
+        exps = u[:, :n_exp]
+        np.log(exps, out=exps)
+        cols = [j for j, m in enumerate(whole) if m]
+        starts = np.cumsum([0] + [whole[j] for j in cols[:-1]])
+        out[:, cols] = -np.add.reduceat(exps, starts, axis=1)
+    if halves:
+        z = _box_muller(u[:, n_exp:])[:, :len(halves)]
+        np.square(z, out=z)
+        z *= 0.5
+        out[:, halves] += z
     return out
 
 

@@ -172,14 +172,19 @@ def test_criterion_08_dirichlet_aggregation_property(one_hot_probes):
 
 
 def test_criterion_09_haar_amplitudes_follow_beta_marginals(one_hot_probes):
+    p_values = {}
     for n_dim, seed in ((2, 901), (4, 902), (8, 903)):
         spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=seed)
-        masses = generate_probe_samples(spec, one_hot_probes(n_dim), 100_000)
+        masses = generate_probe_samples(spec, one_hot_probes(n_dim), 400_000)
         law = beta_dist(0.5, (n_dim - 1) / 2.0)
         for j in range(n_dim):
-            p_value = kstest(masses[:, j], law.cdf).pvalue
-            assert p_value > 0.01, (n_dim, j, p_value)
-    announce(9, "squared amplitudes match Beta(1/2, (N-1)/2) for N in {2,4,8}")
+            p_values[n_dim, j] = kstest(masses[:, j], law.cdf).pvalue
+    # family-wise significance 0.01 over all 14 columns
+    worst = min(p_values, key=p_values.get)
+    assert p_values[worst] > 0.01 / len(p_values), (worst, p_values[worst])
+    announce(9, f"squared amplitudes match Beta(1/2, (N-1)/2) for N in {{2,4,8}} "
+                f"({len(p_values)} KS tests on 400k states, min p {p_values[worst]:.3g} "
+                f"> 0.01/{len(p_values)})")
 
 
 def test_criterion_10_verification_campaigns_are_deterministic(tmp_path):

@@ -109,6 +109,19 @@ def test_moments_rejects_repeated_orders(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+def test_out_replaces_a_longer_file_and_keeps_its_link(tmp_path):
+    path = write_json(tmp_path, "s.json", NUMBER_OP_3)
+    target = tmp_path / "table.json"
+    target.write_text("x" * 100_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["moments", "--spectrum", path, "--t", "1..2", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink()
+    text = target.read_text()
+    assert text.endswith("}\n")
+    assert [r["t"] for r in json.loads(text)["moments"]] == [1, 2]
+
+
 def test_generate_fixed_state_zero_rows(tmp_path):
     ens = write_json(tmp_path, "e.json", {
         "kind": "fixed_basis_state", "N": 8, "seed": 1,
@@ -329,7 +342,8 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
     monkeypatch.setattr(streams, "standard_normals", counting)
     reports = cli.run_campaign(cfg)
     # M spans three chunks: stream (0, 0) is drawn once, chunk by chunk, for all four orders
-    chunk_words = streams.CHUNK_SAMPLES * cfg.spectrum.dimension
+    n_dim = cfg.spectrum.dimension
+    chunk_words = streams.CHUNK_SAMPLES * (n_dim + n_dim % 2)
     key = streams.stream_key(cfg.ensemble.seed, 0, 0)
     assert sorted(calls) == [(key, w) for w in (0, chunk_words, 2 * chunk_words)]
 
@@ -448,7 +462,8 @@ def test_mub_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
     monkeypatch.setattr(streams, "standard_normals", counting)
     reports = cli.run_campaign(cfg)
     # M spans two chunks: each (u, p) stream is drawn once, chunk by chunk
-    chunk_words = streams.CHUNK_SAMPLES * cfg.spectrum.dimension
+    n_dim = cfg.spectrum.dimension
+    chunk_words = streams.CHUNK_SAMPLES * (n_dim + n_dim % 2)
     expected = {(streams.stream_key(cfg.ensemble.seed, u, p), w)
                 for u in range(cfg.m_u) for p in range(cfg.m_perm) for w in (0, chunk_words)}
     assert len(calls) == len(expected)
@@ -638,8 +653,8 @@ PINNED_CAMPAIGNS = {
                              {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
 }
 PINNED_SAMPLING_DIGESTS = {
-    "haar": "1b0e5a67ac5ba6b6",
-    "counterexample": "4988edb1b5b45b2e",
+    "haar": "16c52f8a53254f12",
+    "counterexample": "3cc942e183bf8e44",
     "fixed_basis_state": "f7d4ebe64a1d5e13",
     "dirichlet_amplitudes": "57a9097a87144b7a",
 }
@@ -891,11 +906,35 @@ def test_ensemble_spec_states_n_once(tmp_path, capsys, ensemble, problem):
      "'alpha' in haar params"),
     ({"budgets": {"M": 100, "M_U": 2}}, "'M_U' in budgets"),
     ({"ensemble": {"kind": "haar", "N": 3, "seed": 17, "sed": 4}}, "'sed' in ensemble spec"),
+    ({"spectrum": {"eigenvalues": [0, 1, 2], "multiplicities": [1, 1, 1],
+                   "multiplicity": [3, 3, 3]}}, "'multiplicity' in spectrum"),
 ])
 def test_verify_refuses_unknown_keys(tmp_path, capsys, change, key):
     assert main(["verify", "--config", _campaign(tmp_path, **change)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert key in captured.err
+    assert captured.out == ""
+
+
+def test_moments_refuses_unknown_spectrum_keys(tmp_path, capsys):
+    path = write_json(tmp_path, "s.json", {"eigenvalues": [0, 1], "multiplicities": [1, 1],
+                                           "multiplicity": [3, 3]})
+    assert main(["moments", "--spectrum", path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "unknown key 'multiplicity' in spectrum" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("where, key", [("set", "dimenson"), ("basis", "colums")])
+def test_mub_check_refuses_unknown_keys(tmp_path, capsys, where, key):
+    path = tmp_path / "mub3.json"
+    assert main(["mub", "dump", "-N", "3", "--out", str(path)]) == EXIT_OK
+    payload = json.loads(path.read_text())
+    (payload if where == "set" else payload["bases"][1])[key] = 9
+    path.write_text(json.dumps(payload))
+    assert main(["mub", "check", "--file", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"unknown key {key!r} in MUB {where}" in captured.err
     assert captured.out == ""
 
 
@@ -966,19 +1005,46 @@ print(json.dumps([done.returncode,
 
 
 def test_commands_that_never_sample_never_import_scipy(tmp_path):
+    """Nor do Haar and counterexample campaigns: only non-half-integer Dirichlet shapes need it.
+
+    Box-Muller normals and exponentials draw both half-integer gamma families
+    with NumPy alone; scipy's inverse incomplete gamma function serves
+    general_gamma_matrix only.
+    """
     spectrum = write_json(tmp_path, "spectrum.json", NUMBER_OP_3)
-    campaign = _campaign(tmp_path, tiers=["observable"], budgets={"M": 1000})
+    haar = write_json(tmp_path, "haar.json", {
+        "spectrum": {"eigenvalues": [0, 1, 2], "multiplicities": [1, 1, 1]},
+        "ensemble": {"kind": "haar", "N": 3, "seed": 17},
+        "tiers": ["observable", "permutation", "mub"], "t": [1, 2], "epsilon": 0.05,
+        "budgets": {"M": 2000, "M_perm": 2, "M_u": 2}, "seed": 17})
+    counterexample = write_json(tmp_path, "counterexample.json", {
+        "spectrum": {"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 1]},
+        "ensemble": {"kind": "counterexample", "n": 2, "seed": 18},
+        "tiers": ["observable", "permutation", "mub"], "t": [1, 2], "epsilon": 0.05,
+        "budgets": {"M": 2000, "M_perm": 2, "M_u": 2}, "seed": 18})
+    general = write_json(tmp_path, "general.json", {
+        "spectrum": {"eigenvalues": [0, 1, 2], "multiplicities": [1, 1, 1]},
+        "ensemble": {"kind": "dirichlet_amplitudes", "N": 3, "seed": 19,
+                     "params": {"alpha": [0.3, 0.3, 0.3]}},
+        "tiers": ["observable"], "t": [1], "epsilon": 0.05, "budgets": {"M": 2000}, "seed": 19})
     code = f"""
 import contextlib, io, json, sys
 from haar_sentinel import cli
+loaded = []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["moments", "--spectrum", {spectrum!r}, "--t", "1..4"]),
-             cli.main(["mub", "dump", "-N", "5"])]
-    before = "scipy" in sys.modules
-    codes.append(cli.main(["verify", "--config", {campaign!r}]))
-print(json.dumps([codes, before, "scipy" in sys.modules]))
+    for argv in (["moments", "--spectrum", {spectrum!r}, "--t", "1..4"],
+                 ["mub", "dump", "-N", "5"],
+                 ["verify", "--config", {haar!r}],
+                 ["verify", "--config", {counterexample!r}],
+                 ["verify", "--config", {general!r}]):
+        loaded.append([cli.main(argv), "scipy" in sys.modules])
+print(json.dumps(loaded))
 """
-    assert json.loads(_run_python(code, tmp_path)) == [[EXIT_OK, EXIT_OK, EXIT_OK], False, True]
+    codes, loaded = zip(*json.loads(_run_python(code, tmp_path)))
+    assert codes[:2] == (EXIT_OK, EXIT_OK)
+    # each campaign ran to its verdicts, whichever they are
+    assert set(codes[2:]) <= {EXIT_OK, EXIT_INCOMPATIBLE, EXIT_INCONCLUSIVE}
+    assert loaded == (False, False, False, False, True)
 
 
 def test_mub_tier_runs_at_a_large_prime_dimension(tmp_path):

@@ -250,8 +250,10 @@ def test_rotated_expectations_match_the_complex_product(monkeypatch, kind, n_dim
     m = 700
     if kind == "haar":
         spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=400 + n_dim)
-        z = streams.standard_normals(streams.stream_key(spec.seed, 1, 2), 0, m * n_dim)
-        z = z.reshape(m, n_dim)
+        # W = N + (N mod 2) words per state, the last normal dropped for odd N
+        words = n_dim + n_dim % 2
+        z = streams.standard_normals(streams.stream_key(spec.seed, 1, 2), 0, m * words)
+        z = z.reshape(m, words)[:, :n_dim]
         amps = z / np.linalg.norm(z, axis=1, keepdims=True)
     else:
         spec = EnsembleSpec(kind="counterexample", dimension=4, seed=402, params={"n": 2})

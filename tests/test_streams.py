@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.stats import gamma as gamma_dist
+from scipy.stats import kstest, norm, pearsonr
 
 from haar_sentinel import streams
-from haar_sentinel.ensembles import counterexample_alphas
+from haar_sentinel.ensembles import EnsembleSpec, counterexample_alphas, state_blocks
 from oracles import raw_words
 
 
@@ -54,3 +56,78 @@ def test_keys_refuse_seeds_outside_64_bits(seed):
     with pytest.raises(ValueError, match=f"seed {seed} lies outside 0..2\\^64-1"):
         streams.stream_key(seed)
     assert streams.stream_key(2**64 - 1, 2, 3) >> 64 == 2**64 - 1
+
+
+def test_normals_are_the_box_muller_pairs_of_consecutive_words():
+    key = streams.stream_key(20261020, 1, 2)
+    count = 100_000
+    u = ((raw_words(key, 6, count) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = 2.0 * np.pi * (u[1::2] - 0.5)
+    z = streams.standard_normals(key, 6, count)
+    assert np.allclose(z[0::2], r * np.cos(theta), rtol=1e-12, atol=1e-12)
+    assert np.allclose(z[1::2], r * np.sin(theta), rtol=1e-12, atol=1e-12)
+
+
+def test_normals_come_in_pairs():
+    with pytest.raises(ValueError, match="7 words is odd"):
+        streams.standard_normals(streams.stream_key(1), 0, 7)
+
+
+def test_both_pair_positions_are_standard_normal_and_their_squares_uncorrelated():
+    z = streams.standard_normals(streams.stream_key(20261020), 0, 800_000)
+    first, second = z[0::2], z[1::2]
+    p_values = [kstest(first, norm.cdf).pvalue, kstest(second, norm.cdf).pvalue]
+    # r cos and r sin share r: uncorrelated, and independent only because r^2 is chi^2_2
+    p_values.append(pearsonr(first**2, second**2).pvalue)
+    assert min(p_values) > 0.01 / len(p_values), p_values
+
+
+@pytest.mark.parametrize("alpha, words", [
+    ((0.5,), 2), ((0.5, 0.5), 2), ((1.5, 2.0, 0.5), 5), ((1.0, 3.0), 4),
+    (counterexample_alphas(8), 127 + 2), (counterexample_alphas(3), 2 + 4),
+])
+def test_halfint_gamma_words_pad_an_odd_number_of_halves(alpha, words):
+    assert streams.halfint_gamma_words(alpha) == words
+
+
+@pytest.mark.parametrize("alpha", [(0.5, 0.5, 0.5), (2.0, 1.5, 3.5), (1.0, 3.0), (1.5, 0.5, 2.5)])
+def test_halfint_gamma_words_are_exponentials_then_box_muller_pairs(alpha):
+    # column j: -log of its int(a_j) words, in column order, plus z^2/2 of the
+    # normal of its rank among the half-integer columns, read after every exponential
+    key = streams.stream_key(20261020, 5, 1)
+    count, words = 500, streams.halfint_gamma_words(alpha)
+    u = streams.uniforms(key, 3 * words, count * words).reshape(count, words)
+    n_exp = sum(int(a) for a in alpha)
+    r = np.sqrt(-2.0 * np.log(u[:, n_exp::2]))
+    theta = 2.0 * np.pi * (u[:, n_exp + 1::2] - 0.5)
+    z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(count, -1)
+    reference, col, half = np.zeros((count, len(alpha))), 0, 0
+    for j, a in enumerate(alpha):
+        m = int(a)
+        reference[:, j] = -np.log(u[:, col:col + m]).sum(axis=1)
+        col += m
+        if a - m:
+            reference[:, j] += 0.5 * z[:, half] ** 2
+            half += 1
+    g = streams.halfint_gamma_matrix(key, 3, count, alpha)
+    assert np.allclose(g, reference, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [(0.5, 0.5, 0.5), (1.5, 0.5), (2.5, 1.0, 0.5, 3.5)])
+def test_halfint_gamma_columns_follow_their_gamma_laws(alpha):
+    g = streams.halfint_gamma_matrix(streams.stream_key(20261020, 0, len(alpha)), 0, 200_000,
+                                     alpha)
+    p_values = [kstest(g[:, j], gamma_dist(a).cdf).pvalue for j, a in enumerate(alpha)]
+    assert min(p_values) > 0.01 / len(p_values), p_values
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_odd_dimension_states_are_rows_of_one_large_call(rotated):
+    # N = 61 reads W = 62 words per state: per-sample addressing must survive the padding
+    _, states = state_blocks(EnsembleSpec(kind="haar", dimension=61, seed=61), (1, 0), rotated)
+    whole = states(0, 3000)
+    for s0, count in ((0, 1), (1, 5), (7, 300), (2999, 1)):
+        assert states(s0, count).tobytes() == whole[s0:s0 + count].tobytes()
+    masses = whole**2 if rotated else whole
+    assert np.allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-14)
