@@ -9,7 +9,9 @@ through random eigenbasis permutations it is flagged immediately.
 
 Trial k samples the ensemble at seed 1000 + k; its permutation tier draws the
 permutations from campaign seed 5000 + k, exactly as a `verify` campaign with
-that seed would.
+that seed would.  A trial misses its separation unless the observable tier is
+`compatible` and the permutation tier `incompatible`; the script exits 1 when
+any trial misses.
 
 Usage: python scripts/counterexample_separation.py [n] [M] [M_perm] [trials]
 """
@@ -57,7 +59,8 @@ def main(argv):
     print(f"\nobservable tier compatible:    {tallies['observable']}/{trials}")
     print(f"permutation tier incompatible: {tallies['permutation']}/{trials}")
     print(f"elapsed: {time.time() - started:.1f}s")
+    return 0 if tallies["observable"] == tallies["permutation"] == trials else 1
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    sys.exit(main(sys.argv))

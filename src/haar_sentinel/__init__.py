@@ -1,6 +1,6 @@
 """Statistical verification of Haar-randomness via observable spectra."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .ensembles import (
     EnsembleSpec,
@@ -40,6 +40,7 @@ from .verify import (
     RandomnessReport,
     average_randomness,
     estimate_moment,
+    estimate_moments,
     load_samples,
     mub_randomness,
     observable_estimates,
@@ -62,6 +63,7 @@ __all__ = [
     "average_randomness",
     "check_mub",
     "estimate_moment",
+    "estimate_moments",
     "exact_moment",
     "expand",
     "generate_expectation_samples",

@@ -31,7 +31,7 @@ from .spectrum import Spectrum, check_keys, require_int, require_real, require_s
 from .verify import (
     TIERS,
     average_randomness,
-    estimate_moment,
+    estimate_moments,
     load_samples,
     mub_randomness,
     observable_estimates,
@@ -180,7 +180,8 @@ def _parse_orders(expr: str) -> list[int]:
 def _observable_reports(cfg: CampaignConfig) -> list:
     """Observable-tier reports; the samples are drawn (or read) once for every order.
 
-    A spec's stream is reduced where it is drawn, a file's values by estimate_moment.
+    A spec's stream is reduced where it is drawn, a file's values by estimate_moments;
+    either way one pass serves every order.
     """
     if cfg.samples_path is None:
         estimates = observable_estimates(cfg.ensemble, cfg.spectrum, cfg.orders,
@@ -188,7 +189,7 @@ def _observable_reports(cfg: CampaignConfig) -> list:
         provenance = {"seed": cfg.ensemble.seed}
     else:
         values = load_samples(cfg.samples_path, cfg.spectrum)
-        estimates = [estimate_moment(values, t) for t in cfg.orders]
+        estimates = estimate_moments(values, cfg.orders)
         provenance = {"samples_file": cfg.samples_path}
     return [average_randomness(est, cfg.spectrum, cfg.epsilon, provenance=provenance)
             for est in estimates]

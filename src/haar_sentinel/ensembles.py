@@ -17,8 +17,11 @@ Four ensemble kinds are supported:
 
 Every kind draws its states by one routine, state_blocks, a block of one
 seed-tree stream at a time, and probe_blocks measures them by one observable,
-the probe.  The values are deterministic per (seed, basis index, permutation
-index, sample index) and independent of worker count; see streams.py.
+the probe.  Since package 0.5.0 the states are left unnormalised, as drawn,
+and every probe is a ratio <psi|O|psi>/<psi|psi>, so no pass writes a
+normalised copy of a state.  The values are deterministic per (seed, basis
+index, permutation index, sample index) and independent of worker count; see
+streams.py.
 """
 
 from __future__ import annotations
@@ -173,13 +176,17 @@ def state_blocks(
 ) -> tuple[slice | Sequence[int], Callable[[int, int], np.ndarray]]:
     """(support S, states): states(start, count) is the (count, |S|) block of samples start..
 
-    Row i holds state i's squared amplitudes on S, or its real amplitudes when
-    ``rotated``.  ``stream`` is the (basis index, permutation index) node of the
-    seed tree; sample i draws from a fixed word range of that node's stream,
-    whose word w is output w of PCG64DXSM(SeedSequence(stream_key(seed, u, p))).
-    A Haar state i is the first N normals of words [iW, (i + 1)W),
-    W = N + (N mod 2); its masses are the squares of its amplitudes, so a
-    state is the same state whether it is measured rotated or not.
+    Row i holds state i's unnormalised squared amplitudes on S, or its
+    unnormalised real amplitudes when ``rotated``: the state is the row
+    divided by its sum (plain) or by its Euclidean norm (rotated), which
+    probe_blocks does as the denominator of a ratio.  ``stream`` is the
+    (basis index, permutation index) node of the seed tree; sample i draws
+    from a fixed word range of that node's stream, whose word w is output w
+    of PCG64DXSM(SeedSequence(stream_key(seed, u, p))).  A Haar state i is
+    the first N normals z of words [iW, (i + 1)W), W = N + (N mod 2): its row
+    is z^2, or z rotated; a Dirichlet state's row is its gammas g, or sqrt(g)
+    rotated.  So a state is the same state whether it is measured rotated or
+    not.
     """
     key = streams.stream_key(spec.seed, *stream)
     if spec.kind == "fixed_basis_state":
@@ -191,11 +198,7 @@ def state_blocks(
 
         def states(s0, c):
             z = streams.standard_normals(key, s0 * words, c * words).reshape(c, words)[:, :n_dim]
-            if rotated:
-                # einsum sums the squares without a temporary the size of z
-                return np.divide(z, np.sqrt(np.einsum("ij,ij->i", z, z))[:, None], out=z)
-            np.square(z, out=z)
-            return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
+            return z if rotated else np.square(z, out=z)
 
         return slice(None), states
     # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
@@ -213,8 +216,7 @@ def state_blocks(
 
     def states(s0, c):
         g = gamma_matrix(key, s0, c, alpha)
-        g /= g.sum(axis=1, keepdims=True)
-        return np.sqrt(g) if rotated else g
+        return np.sqrt(g, out=g) if rotated else g
 
     return support, states
 
@@ -230,8 +232,10 @@ def probe_blocks(
     O is the diagonal of assignment ``a``, rotated into the columns of
     ``basis`` (a MubBasis, checked unitary when built) when one is given.
     Every kind has real amplitudes, so a rotated O is one real quadratic form
-    on the support S, formed once per call: c |S|^2 multiply-adds per block
+    K on the support S, formed once per call: c |S|^2 multiply-adds per block
     of c states instead of the 4 c |S| N of the complex product U^dagger psi.
+    Each value is a ratio on the unnormalised rows w of state_blocks:
+    (w . lambda_S)/(w . 1) unrotated, and w^T K w / w^T w rotated.
     """
     if a.dimension != spec.dimension:
         raise ValueError(f"assignment dimension {a.dimension} != "
@@ -242,7 +246,15 @@ def probe_blocks(
     support, states = state_blocks(spec, stream, rotated=basis is not None)
     if basis is None:
         diag = a.as_array()[support]
-        return lambda s0, c: states(s0, c) @ diag
+        ones = np.ones_like(diag)
+
+        # two matrix-vector products: one (c, 2) matrix product is about 1.5x
+        # faster on 9-wide rows, but it raised the peak RSS by about 0.1 MiB
+        def ratio(s0, c):
+            w = states(s0, c)
+            return (w @ diag) / (w @ ones)
+
+        return ratio
     form = _quadratic_form(basis.matrix, support, a.as_array())
     # amps @ form row block by row block: a (c, |S|) product beside the states
     # would double the block's memory, which the allocator returns to the
@@ -255,6 +267,7 @@ def probe_blocks(
         for i in range(0, c, rows):
             part = amps[i:i + rows]
             values[i:i + rows] = np.einsum("ij,ij->i", part @ form, part)
+        values /= np.einsum("ij,ij->i", amps, amps)
         return values
 
     return block

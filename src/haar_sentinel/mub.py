@@ -130,10 +130,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _odd_prime_basis(p: int, r: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / p)
+    """Entries omega^(r i^2 + j i)/sqrt(p), read from a table of the p roots of unity."""
+    roots = np.exp(2j * np.pi / p * np.arange(p)) / np.sqrt(p)
     i = np.arange(p)[:, None]
     j = np.arange(p)[None, :]
-    return omega ** ((r * i * i + j * i) % p) / np.sqrt(p)
+    return roots[(r * i * i + j * i) % p]
 
 
 _N2_TABLES = [

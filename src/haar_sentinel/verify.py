@@ -36,7 +36,7 @@ plain signed deviation of the base tier.
 
 Every tier reduces its samples chunk by chunk, in the thread that drew each
 chunk, and merges the chunks in index order (_estimates); no tier holds more
-than a chunk of values.  Raw sample arrays take the same path (estimate_moment).
+than a chunk of values.  Raw sample arrays take the same path (estimate_moments).
 """
 
 from __future__ import annotations
@@ -209,14 +209,20 @@ def _estimates(total: int, block: Callable[[int, int], np.ndarray],
     return _merged(parts, orders)
 
 
-def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
-    """Empirical t-th moment: mean of per-sample t-th powers, M-1 variance.
+def estimate_moments(samples: Sequence[float], orders: Sequence[int]) -> list[MomentEstimate]:
+    """Empirical t-th moments, one per t in orders, in one pass over the samples.
 
-    Reduced on the chunk grid of the sampling tiers, so values written by
+    Each is the mean of per-sample t-th powers with their M-1 variance,
+    reduced on the chunk grid of the sampling tiers, so values written by
     ``generate`` and read back give the bits of the tier that drew them.
     """
     values = np.asarray(samples, dtype=float)
-    return _estimates(values.size, lambda s0, c: values[s0:s0 + c], [t])[0]
+    return _estimates(values.size, lambda s0, c: values[s0:s0 + c], orders)
+
+
+def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
+    """Empirical t-th moment: estimate_moments for the one order t."""
+    return estimate_moments(samples, [t])[0]
 
 
 def _signed_rms(deviations: np.ndarray) -> float:

@@ -67,13 +67,19 @@ def generate_probe_samples(
 ) -> np.ndarray:
     """(M, P) expectation values: M states of one stream, each measured by P diagonal probes.
 
-    The masses of ensembles.state_blocks, drawn once over the chunk grid of
-    streams.chunked_samples, times the probe diagonals on the state's support;
-    a one-hot probe's column is exactly its basis state's mass.
+    The rows of ensembles.state_blocks, drawn once over the chunk grid of
+    streams.chunked_samples and divided by their sums into masses, times the
+    probe diagonals on the state's support; a one-hot probe's column is
+    exactly its basis state's mass.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
     support, states = state_blocks(spec, stream)
     diags = np.stack([a.as_array()[support] for a in probes], axis=1)
-    return np.concatenate(streams.chunked_samples(m_samples, lambda s0, c: states(s0, c) @ diags,
+
+    def masses(s0, c):
+        w = states(s0, c)
+        return w / w.sum(axis=1, keepdims=True)
+
+    return np.concatenate(streams.chunked_samples(m_samples, lambda s0, c: masses(s0, c) @ diags,
                                                   workers))

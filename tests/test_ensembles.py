@@ -6,10 +6,13 @@ from scipy.stats import kstest
 from haar_sentinel import streams
 from haar_sentinel.ensembles import (
     EnsembleSpec,
+    _quadratic_form,
     counterexample_alphas,
     counterexample_support,
     generate_expectation_samples,
     natural_assignment,
+    probe_blocks,
+    state_blocks,
 )
 from haar_sentinel.mub import MubBasis, mub_basis
 from haar_sentinel.spectrum import (
@@ -269,6 +272,32 @@ def test_rotated_expectations_match_the_complex_product(monkeypatch, kind, n_dim
     assert one.tobytes() == two.tobytes()
     ref = _complex_reference(amps, basis.matrix, diag)
     assert np.abs(one - ref).max() <= 1e-13 * diag.max()
+
+
+@pytest.mark.parametrize("spec,index", [
+    (EnsembleSpec(kind="haar", dimension=8, seed=5), None),
+    (EnsembleSpec(kind="haar", dimension=61, seed=5), 3),
+    (EnsembleSpec(kind="counterexample", dimension=256, seed=5, params={"n": 8}), None),
+    (EnsembleSpec(kind="counterexample", dimension=4, seed=5, params={"n": 2}), 2),
+    (EnsembleSpec(kind="dirichlet_amplitudes", dimension=5, seed=5,
+                  params={"alpha": [0.5, 1.0, 2.5, 40.5, 3.0]}), None),
+    (EnsembleSpec(kind="dirichlet_amplitudes", dimension=5, seed=5,
+                  params={"alpha": [0.5, 1.0, 2.5, 40.5, 3.0]}), 4),
+])
+def test_ratio_probes_match_the_normalised_state(spec, index):
+    # probe_blocks measures the unnormalised rows of state_blocks as a ratio
+    n_dim, m = spec.dimension, 20_000
+    diag = np.random.default_rng(n_dim).permutation(np.linspace(0.0, 3.0, n_dim))
+    basis = None if index is None else mub_basis(n_dim, index)
+    values = probe_blocks(spec, EigenAssignment(diag), basis, (1, 2))(0, m)
+    support, states = state_blocks(spec, (1, 2), rotated=basis is not None)
+    w = states(0, m)
+    if basis is None:
+        ref = (w / w.sum(axis=1, keepdims=True)) @ diag[support]
+    else:
+        psi = w / np.linalg.norm(w, axis=1, keepdims=True)
+        ref = np.einsum("ij,ij->i", psi @ _quadratic_form(basis.matrix, support, diag), psi)
+    assert np.abs(values - ref).max() <= 1e-15 * diag.max()
 
 
 def test_raw_basis_must_be_unitary():

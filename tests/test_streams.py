@@ -129,5 +129,58 @@ def test_odd_dimension_states_are_rows_of_one_large_call(rotated):
     whole = states(0, 3000)
     for s0, count in ((0, 1), (1, 5), (7, 300), (2999, 1)):
         assert states(s0, count).tobytes() == whole[s0:s0 + count].tobytes()
-    masses = whole**2 if rotated else whole
-    assert np.allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+    # rows are the draw itself, unnormalised: the first 61 of each state's 62 normals
+    z = streams.standard_normals(streams.stream_key(61, 1, 0), 0, 3000 * 62).reshape(3000, 62)
+    raw = z[:, :61] if rotated else np.square(z[:, :61])
+    assert whole.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [(40.5, 100.0, 1.0, 2.5), (18.0, 19.0, 36.0, 37.0),
+                                   counterexample_alphas(8)])
+def test_halfint_gamma_run_products_match_a_sum_of_logs(alpha):
+    # one log per run of up to RUN words against one log per word; 40.5 and 100
+    # hold more than 2 RUN words, so their columns sum three runs or more
+    key = streams.stream_key(20261021, 2, 3)
+    count, words = 20_000, streams.halfint_gamma_words(alpha)
+    u = streams.uniforms(key, 5 * words, count * words).reshape(count, words)
+    n_exp = sum(int(a) for a in alpha)
+    z = streams._box_muller(u[:, n_exp:].copy())
+    reference, col, half = np.zeros((count, len(alpha))), 0, 0
+    for j, a in enumerate(alpha):
+        m = int(a)
+        reference[:, j] = -np.log(u[:, col:col + m]).sum(axis=1)
+        col += m
+        if a - m:
+            reference[:, j] += 0.5 * z[:, half] ** 2
+            half += 1
+    g = streams.halfint_gamma_matrix(key, 5, count, alpha)
+    assert np.all(np.abs(g - reference) <= 4e-15 * reference)
+
+
+def test_a_one_word_column_is_exactly_minus_log_u():
+    alpha = (1.0, 40.0, 1.0)
+    key = streams.stream_key(20261021, 0, 1)
+    u = streams.uniforms(key, 0, 300 * 42).reshape(300, 42)
+    g = streams.halfint_gamma_matrix(key, 0, 300, alpha)
+    assert g[:, 0].tobytes() == (-np.log(u[:, 0])).tobytes()
+    assert g[:, 2].tobytes() == (-np.log(u[:, 41])).tobytes()
+
+
+def test_words_at_the_smallest_uniform_give_finite_gammas(monkeypatch):
+    # every uniform is at least 2^-54, so a run of RUN = 18 multiplies to at least 2^-972
+    monkeypatch.setattr(streams, "uniforms", lambda key, start, count: np.full(count, 2.0**-54))
+    alpha = (1.0, 17.0, 18.0, 19.0, 36.0, 100.0)
+    g = streams.halfint_gamma_matrix(streams.stream_key(1), 0, 10, alpha)
+    assert np.all(np.isfinite(g))
+    assert np.allclose(g, np.array(alpha) * 54 * np.log(2.0), rtol=1e-15, atol=0)
+
+
+def test_a_uniform_of_one_gives_finite_general_gammas(monkeypatch):
+    # the top word rounds to u = 1.0, where gammaincinv is infinite
+    monkeypatch.setattr(streams, "uniforms", lambda key, start, count: np.ones(count))
+    spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=3, seed=1,
+                        params={"alpha": [0.3, 0.7, 2.2]})
+    _, states = state_blocks(spec)
+    g = states(0, 5)
+    masses = g / g.sum(axis=1, keepdims=True)
+    assert np.all(np.isfinite(masses))
