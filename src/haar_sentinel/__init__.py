@@ -40,7 +40,6 @@ from .verify import (
     RandomnessReport,
     average_randomness,
     estimate_moment,
-    estimate_moments,
     load_samples,
     mub_randomness,
     observable_estimates,
@@ -63,7 +62,6 @@ __all__ = [
     "average_randomness",
     "check_mub",
     "estimate_moment",
-    "estimate_moments",
     "exact_moment",
     "expand",
     "generate_expectation_samples",

@@ -131,7 +131,7 @@ def _is_prime(n: int) -> bool:
 
 def _odd_prime_basis(p: int, r: int) -> np.ndarray:
     """Entries omega^(r i^2 + j i)/sqrt(p), read from a table of the p roots of unity."""
-    roots = np.exp(2j * np.pi / p * np.arange(p)) / np.sqrt(p)
+    roots = np.exp(2j * np.pi / p) ** np.arange(p) / np.sqrt(p)
     i = np.arange(p)[:, None]
     j = np.arange(p)[None, :]
     return roots[(r * i * i + j * i) % p]
