@@ -132,14 +132,12 @@ CAMPAIGN_KEYS = ("spectrum", "ensemble", "samples", "tiers", "t", "epsilon", "bu
 def load_campaign(path: str, workers_override: Optional[int] = None) -> CampaignConfig:
     d = _load_json(path)
     try:
-        check_keys(d, CAMPAIGN_KEYS, "campaign config")
+        check_keys(d, CAMPAIGN_KEYS, "campaign config", required=("spectrum", "epsilon", "seed"))
         seed = require_int(d["seed"], "seed")
         orders = d.get("t", 1)
         if not isinstance(orders, list):
             orders = [orders]
         budgets = d.get("budgets", {})
-        if not isinstance(budgets, dict):
-            raise InputError(f"budgets must be an object, got {budgets!r}")
         check_keys(budgets, ("M", "M_perm", "M_u"), "budgets")
         cfg = CampaignConfig(
             spectrum=_load_spectrum(d["spectrum"]),

@@ -17,11 +17,11 @@ Four ensemble kinds are supported:
 
 Every kind draws its states by one routine, state_blocks, a block of one
 seed-tree stream at a time, and probe_blocks measures them by one observable,
-the probe.  Since package 0.5.0 the states are left unnormalised, as drawn,
-and every probe is a ratio <psi|O|psi>/<psi|psi>, so no pass writes a
-normalised copy of a state.  The values are deterministic per (seed, basis
-index, permutation index, sample index) and independent of worker count; see
-streams.py.
+the probe.  The states are left unnormalised, as drawn, and every probe is a
+ratio <psi|O|psi>/<psi|psi>, so no pass writes a normalised copy of a state.
+The values are deterministic per (seed, basis index, permutation index,
+sample index) and independent of worker count; see streams for the stream
+formula.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ from .spectrum import (
     number_operator,
     number_operator_assignment,
     require_int,
+    require_list,
     require_real,
+    require_str,
 )
 
 # The parameters each kind reads, and the keys of a spec's JSON form.
@@ -85,8 +87,8 @@ class EnsembleSpec:
                 raise ValueError(f"fixed_basis_state needs an integer basis_index in 0..N-1, "
                                  f"got {b!r}")
         elif self.kind == "dirichlet_amplitudes":
-            alpha = self.params.get("alpha")
-            if not alpha or len(alpha) != self.dimension:
+            alpha = require_list(self.params.get("alpha", []), "alpha")
+            if len(alpha) != self.dimension:
                 raise ValueError("dirichlet_amplitudes needs alpha of length N")
             for a in alpha:
                 if not (isfinite(require_real(a, "alpha")) and a > 0):
@@ -102,18 +104,21 @@ class EnsembleSpec:
 
     @staticmethod
     def from_json_dict(d: dict, default_seed: Optional[int] = None) -> "EnsembleSpec":
-        check_keys(d, SPEC_KEYS, "ensemble spec")
-        kind = d["kind"]
+        check_keys(d, SPEC_KEYS, "ensemble spec", required=("kind",))
+        kind = require_str(d["kind"], "kind")
+        if kind not in PARAM_KEYS:
+            raise ValueError(f"unknown ensemble kind {kind!r}")
         params = d.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"params must be an object, got {params!r}")
+        check_keys(params, PARAM_KEYS[kind], f"{kind} params")
         params = dict(params)
         ns = {require_int(source["n"], "n") for source in (d, params) if "n" in source}
         if len(ns) > 1:
             raise ValueError(f"n is {d['n']} but params.n is {params['n']}")
         if ns:
             params["n"] = ns.pop()
-        dim = 2 ** params["n"] if "n" in params and "N" not in d else require_int(d["N"], "N")
+        if "N" not in d and "n" not in params:
+            raise ValueError("missing key 'N' (or 'n') in ensemble spec")
+        dim = 2 ** params["n"] if "N" not in d else require_int(d["N"], "N")
         if "n" in params and dim != 2 ** params["n"]:
             raise ValueError(f"N = {dim} is not 2^n = {2 ** params['n']}")
         seed = d.get("seed", default_seed)
@@ -181,12 +186,11 @@ def state_blocks(
     divided by its sum (plain) or by its Euclidean norm (rotated), which
     probe_blocks does as the denominator of a ratio.  ``stream`` is the
     (basis index, permutation index) node of the seed tree; sample i draws
-    from a fixed word range of that node's stream, whose word w is output w
-    of PCG64DXSM(SeedSequence(stream_key(seed, u, p))).  A Haar state i is
-    the first N normals z of words [iW, (i + 1)W), W = N + (N mod 2): its row
-    is z^2, or z rotated; a Dirichlet state's row is its gammas g, or sqrt(g)
-    rotated.  So a state is the same state whether it is measured rotated or
-    not.
+    from a fixed word range of that node's stream (see streams).  A Haar
+    state i is the first N normals z of words [iW, (i + 1)W),
+    W = N + (N mod 2): its row is z^2, or z rotated; a Dirichlet state's row
+    is its gammas g, or sqrt(g) rotated.  So a state is the same state
+    whether it is measured rotated or not.
     """
     key = streams.stream_key(spec.seed, *stream)
     if spec.kind == "fixed_basis_state":

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .spectrum import check_keys, require_int
+from .spectrum import check_keys, require_int, require_list, require_str
 
 UNBIASED_TOL = 1e-10
 
@@ -97,16 +97,18 @@ class MubSet:
     @staticmethod
     def from_json_dict(d: dict) -> "MubSet":
         # columns[j][i] = [re, im] of entry i of basis vector j
-        check_keys(d, ("dimension", "bases"), "MUB set")
+        set_keys, basis_keys = ("dimension", "bases"), ("label", "columns")
+        check_keys(d, set_keys, "MUB set", required=set_keys)
         n_dim = require_int(d["dimension"], "dimension")
         bases = []
-        for e in d["bases"]:
-            check_keys(e, ("label", "columns"), "MUB basis")
+        for e in require_list(d["bases"], "bases"):
+            check_keys(e, basis_keys, "MUB basis", required=basis_keys)
             columns = np.asarray(e["columns"], dtype=float)
             if columns.shape != (n_dim, n_dim, 2):
                 raise ValueError(f"basis {e['label']!r}: columns of shape {columns.shape}, "
                                  f"expected ({n_dim}, {n_dim}, 2)")
-            bases.append(MubBasis(columns.view(complex)[..., 0].T, e["label"]))
+            label = require_str(e["label"], "label")
+            bases.append(MubBasis(columns.view(complex)[..., 0].T, label))
         return MubSet(bases=tuple(bases), dimension=n_dim)
 
 

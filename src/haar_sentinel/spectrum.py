@@ -18,11 +18,16 @@ import numpy as np
 MAX_DIMENSION = 2**20  # dense assignments only; desk-scale arrays
 
 
-def check_keys(d: dict, known: Sequence[str], what: str) -> None:
-    """Raise ValueError naming the first key of ``d`` outside ``known``."""
+def check_keys(d: dict, known: Sequence[str], what: str, required: Sequence[str] = ()) -> None:
+    """Raise ValueError unless ``d`` is an object with keys in ``known`` and all of ``required``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {d!r}")
     for key in d:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {what}; known: {', '.join(known) or 'none'}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"missing key {key!r} in {what}")
 
 
 def require_int(value, name: str) -> int:
@@ -37,6 +42,13 @@ def require_real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name}: expected a real number, got {value!r}")
     return float(value)
+
+
+def require_list(value, name: str) -> list:
+    """A list input field; any other JSON value raises ValueError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name}: expected a list, got {value!r}")
+    return value
 
 
 def require_str(value, name: str) -> str:
@@ -105,8 +117,9 @@ class Spectrum:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Spectrum":
-        check_keys(d, ("eigenvalues", "multiplicities"), "spectrum")
-        return make_spectrum(d["eigenvalues"], d["multiplicities"])
+        keys = ("eigenvalues", "multiplicities")
+        check_keys(d, keys, "spectrum", required=keys)
+        return make_spectrum(*(require_list(d[k], k) for k in keys))
 
 
 @dataclass(frozen=True, eq=False)

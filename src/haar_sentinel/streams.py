@@ -1,23 +1,22 @@
 """Seeded random streams with per-sample addressing.
 
-Reproducibility contract: every Monte Carlo sample owns a fixed range of raw
-64-bit words inside one stream per leaf (seed, basis index, permutation index)
-of the seed tree.  Word w of leaf (seed, u, p) is output w of
-PCG64DXSM(SeedSequence(stream_key(seed, u, p))), reached by advance(w), so any
-contiguous block of samples can be generated in one vectorized call and the
-bits can never depend on chunking, scheduling, or worker count.  PCG64DXSM
-replaced the counter-based generator of package 0.1.x because it draws a word
-through Generator.random in about 2.2 ns against 5.3 ns (2-core x86-64
-machine); streams drawn by 0.1.x cannot be redrawn by later versions.
+Reproducibility contract: the seed tree is NumPy's SeedSequence spawn tree.
+Word w of node (u, p) of seed ``seed`` is output w, reached by advance(w), of
+
+    PCG64DXSM(SeedSequence(seed, spawn_key=(u, p))),
+
+where SeedSequence(seed, spawn_key=(u, p)) is
+SeedSequence(seed).spawn(u + 1)[u].spawn(p + 1)[p].  Every Monte Carlo sample
+owns a fixed range of words of one node's stream, so NumPy alone redraws it,
+any contiguous block of samples is one vectorized call, and the bits never
+depend on chunking, scheduling, or worker count.
 
 All transforms applied to those words consume a fixed number of words per
 sample, which is what keeps the per-sample word ranges static.  Standard
 normals come from the Box-Muller transform (Box and Muller, Ann. Math. Stat.
 29, 610 (1958)), two normals per pair of consecutive words, written with the
-half-angle tangent; since package 0.4.0 it replaces the inverse normal CDF of
-scipy, whose import cost every sampling command about 0.2 s and 17 MiB.
-Gamma variates with half-integer shape are sums of exact unit exponentials
-and halves of squared Box-Muller normals; since package 0.5.0 the m
+half-angle tangent.  Gamma variates with half-integer shape are sums of exact
+unit exponentials and halves of squared Box-Muller normals; the m
 exponentials of a Gamma(m) are -log of products of runs of at most RUN
 uniforms, one log per run instead of one per word.  The bits therefore
 depend on NumPy's dispatched float64 ``log`` and ``tan`` as well as on the
@@ -34,16 +33,13 @@ import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 T = TypeVar("T")
+Key = tuple[int, ...]
 
 # scipy.special is imported by general_gamma_matrix alone, on first use: the
 # import takes about 0.2 s and 17 MiB of resident memory on a 2-core x86-64
 # machine (scipy's array-API shim runs ``from numpy import *``, which loads
 # numpy.f2py and numpy.testing), and only Dirichlet shapes that are not
 # half-integers need its inverse incomplete gamma function.
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_ROOT = 0x243F6A8885A308D3
 
 CHUNK_SAMPLES = 8192
 
@@ -52,46 +48,31 @@ CHUNK_SAMPLES = 8192
 RUN = 18
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer; a bijective avalanche on 64-bit words."""
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def substream_id(*labels: int) -> int:
-    """Fold integer labels into a 64-bit substream identifier."""
-    h = _ROOT
-    for label in labels:
-        h = _mix64(h ^ _mix64(int(label) & _MASK64))
-    return h
-
-
 def check_seed(seed: int) -> None:
-    """Refuse a seed outside 0..2^64-1: a key holds 64 seed bits, so it would alias another."""
-    if not 0 <= seed <= _MASK64:
+    """Refuse a seed outside 0..2^64-1, the range of campaign and ensemble seeds."""
+    if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} lies outside 0..2^64-1")
 
 
-def stream_key(seed: int, basis_index: int = 0, perm_index: int = 0) -> int:
-    """128-bit entropy of one leaf of the seed tree; the one identity of its stream.
+def stream_key(seed: int, *node: int) -> Key:
+    """The key (seed, *node) of one node of the seed tree; the one identity of its stream.
 
-    The tree is seed -> basis index -> permutation index; sample index is
+    A sample node is (basis index, permutation index); sample index is
     resolved below by advancing the stream, not via the key.
     """
     check_seed(seed)
-    return (int(seed) << 64) | substream_id(basis_index, perm_index)
+    return (seed, *node)
 
 
-def generator(key: int, word_start: int = 0) -> Generator:
-    """Generator over the stream of leaf ``key``, positioned at word ``word_start``."""
-    bits = PCG64DXSM(SeedSequence(key))
+def generator(key: Key, word_start: int = 0) -> Generator:
+    """Generator over the stream of node ``key``, positioned at word ``word_start``."""
+    seed, *node = key
+    bits = PCG64DXSM(SeedSequence(seed, spawn_key=node))
     bits.advance(int(word_start))
     return Generator(bits)
 
 
-def uniforms(key: int, word_start: int, count: int) -> np.ndarray:
+def uniforms(key: Key, word_start: int, count: int) -> np.ndarray:
     """Uniforms on [2^-54, 1], one word each.
 
     Word w maps to ((w >> 11) + 1/2) * 2^-53: the half-step offset keeps
@@ -137,7 +118,7 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def standard_normals(key: int, word_start: int, count: int) -> np.ndarray:
+def standard_normals(key: Key, word_start: int, count: int) -> np.ndarray:
     """Normals of words [word_start, word_start + count), one per word; count is even.
 
     Words word_start + 2k and word_start + 2k + 1 are the pair of _box_muller
@@ -167,7 +148,7 @@ def halfint_gamma_words(alpha: Sequence[float]) -> int:
     return sum(whole) + len(halves) + len(halves) % 2
 
 
-def halfint_gamma_matrix(key: int, start_sample: int, count: int,
+def halfint_gamma_matrix(key: Key, start_sample: int, count: int,
                          alpha: Sequence[float]) -> np.ndarray:
     """(count, len(alpha)) exact Gamma(alpha_j, 1) variates, fixed word budget.
 
@@ -209,7 +190,7 @@ def halfint_gamma_matrix(key: int, start_sample: int, count: int,
     return out
 
 
-def general_gamma_matrix(key: int, start_sample: int, count: int,
+def general_gamma_matrix(key: Key, start_sample: int, count: int,
                          alpha: Sequence[float]) -> np.ndarray:
     """Gamma variates for arbitrary positive shapes via inverse lower-gamma.
 

@@ -12,9 +12,8 @@ The two extended tiers are one protocol: the permutation tier is the mub tier
 with a single basis slot that holds no basis.  Every protocol draw comes from
 the campaign seed: tier T draws its basis indices, then its permutations,
 once per campaign, from the generator _protocol_rng(seed, T): the stream of
-the seed-tree leaf (seed, TIERS.index(T) + 1, substream_id(0x70726F74)), whose
-word w is output w of PCG64DXSM(SeedSequence(stream_key)), as for every
-sampling stream (see streams).
+seed-tree node (TIERS.index(T),), built like every sampling stream (see
+streams for the formula).
 Unit (u, p), basis slot u and permutation p, measures one probe, O conjugated
 by its permutation and basis, on the states of seed-tree node (u, p) and
 reduces every order from those values, as the observable tier does with O.
@@ -274,8 +273,7 @@ def average_randomness(
 
 def _protocol_rng(seed: int, tier: str) -> np.random.Generator:
     """Generator of an extended tier's protocol draws (basis picks, permutations)."""
-    key = streams.stream_key(seed, TIERS.index(tier) + 1, streams.substream_id(0x70726F74))
-    return streams.generator(key)
+    return streams.generator(streams.stream_key(seed, TIERS.index(tier)))
 
 
 def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Sequence[int],

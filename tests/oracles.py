@@ -51,9 +51,14 @@ def random_spectrum(rng: np.random.Generator, max_levels: int = 6,
     return make_spectrum(lams.tolist(), mult.tolist())
 
 
-def raw_words(key: int, word_start: int, count: int) -> np.ndarray:
-    """Words [word_start, word_start+count) of the stream of leaf ``key``."""
-    bits = PCG64DXSM(SeedSequence(key))
+def raw_words(key: tuple[int, ...], word_start: int, count: int) -> np.ndarray:
+    """Words [word_start, word_start+count) of seed-tree node key = (seed, *node), by NumPy alone.
+
+    The documented construction: output w of
+    PCG64DXSM(SeedSequence(seed, spawn_key=node)), reached by advance(w).
+    """
+    seed, *node = key
+    bits = PCG64DXSM(SeedSequence(seed, spawn_key=node))
     bits.advance(word_start)
     return bits.random_raw(count)
 

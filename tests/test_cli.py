@@ -653,10 +653,10 @@ PINNED_CAMPAIGNS = {
                              {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
 }
 PINNED_SAMPLING_DIGESTS = {
-    "haar": "16c52f8a53254f12",
-    "counterexample": "3cc942e183bf8e44",
-    "fixed_basis_state": "f7d4ebe64a1d5e13",
-    "dirichlet_amplitudes": "57a9097a87144b7a",
+    "haar": "1e779fe1bf240da9",
+    "counterexample": "928d615c66e025f1",
+    "fixed_basis_state": "123086e1e6883fbd",
+    "dirichlet_amplitudes": "f57e140fb6c5bda8",
 }
 
 
@@ -935,6 +935,78 @@ def test_mub_check_refuses_unknown_keys(tmp_path, capsys, where, key):
     assert main(["mub", "check", "--file", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert f"unknown key {key!r} in MUB {where}" in captured.err
+    assert captured.out == ""
+
+
+def _spectrum_command(tmp_path, edit):
+    return ["moments", "--spectrum", write_json(tmp_path, "s.json", edit(dict(QUBIT)))]
+
+
+def _config_command(tmp_path, edit):
+    config = json.loads(open(_campaign(tmp_path)).read())
+    return ["verify", "--config", write_json(tmp_path, "c.json", edit(config))]
+
+
+def _ensemble_command(tmp_path, edit):
+    return _config_command(tmp_path, lambda c: {**c, "ensemble": edit(c["ensemble"])})
+
+
+def _mub_command(tmp_path, edit):
+    path = tmp_path / "mub2.json"
+    assert main(["mub", "dump", "-N", "2", "--out", str(path)]) == EXIT_OK
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return ["mub", "check", "--file", str(path)]
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize("command, edit, problem", [
+    (_spectrum_command, lambda s: "abc", "spectrum must be an object, got 'abc'"),
+    (_spectrum_command, lambda s: _without(s, "multiplicities"),
+     "missing key 'multiplicities' in spectrum"),
+    (_ensemble_command, lambda e: [1], "ensemble spec must be an object, got [1]"),
+    (_ensemble_command, lambda e: _without(e, "kind"), "missing key 'kind' in ensemble spec"),
+    (_ensemble_command, lambda e: _without(e, "N"), "missing key 'N' (or 'n') in ensemble spec"),
+    (_ensemble_command, lambda e: {**e, "params": 3}, "haar params must be an object, got 3"),
+    (_config_command, lambda c: [1], "campaign config must be an object, got [1]"),
+    (_config_command, lambda c: _without(c, "seed"), "missing key 'seed' in campaign config"),
+    (_config_command, lambda c: _without(c, "epsilon"),
+     "missing key 'epsilon' in campaign config"),
+    (_config_command, lambda c: {**c, "budgets": 5}, "budgets must be an object, got 5"),
+    (_mub_command, lambda m: "abc", "MUB set must be an object, got 'abc'"),
+    (_mub_command, lambda m: _without(m, "bases"), "missing key 'bases' in MUB set"),
+    (_mub_command, lambda m: {**m, "bases": [7]}, "MUB basis must be an object, got 7"),
+    (_mub_command, lambda m: {**m, "bases": [_without(b, "columns") for b in m["bases"]]},
+     "missing key 'columns' in MUB basis"),
+], ids=["spectrum", "spectrum-key", "ensemble", "ensemble-key", "ensemble-N", "params",
+        "config", "config-seed", "config-epsilon", "budgets", "mub-set", "mub-set-key",
+        "mub-basis", "mub-basis-key"])
+def test_readers_name_a_non_object_or_a_missing_key(tmp_path, capsys, command, edit, problem):
+    assert main(command(tmp_path, edit)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, edit, problem", [
+    (_spectrum_command, lambda s: {**s, "multiplicities": None},
+     "multiplicities: expected a list, got None"),
+    (_spectrum_command, lambda s: {**s, "eigenvalues": 3}, "eigenvalues: expected a list, got 3"),
+    (_ensemble_command, lambda e: {**e, "kind": "dirichlet_amplitudes", "params": {"alpha": 3}},
+     "alpha: expected a list, got 3"),
+    (_ensemble_command, lambda e: {**e, "kind": ["haar"]},
+     "kind: expected a string, got ['haar']"),
+    (_mub_command, lambda m: {**m, "bases": 3}, "bases: expected a list, got 3"),
+    (_mub_command, lambda m: {**m, "bases": [{**b, "label": [1, 2]} for b in m["bases"]]},
+     "label: expected a string, got [1, 2]"),
+], ids=["multiplicities", "eigenvalues", "alpha", "kind", "bases", "label"])
+def test_readers_name_a_field_of_the_wrong_container_type(tmp_path, capsys, command, edit,
+                                                          problem):
+    assert main(command(tmp_path, edit)) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert problem in captured.err
     assert captured.out == ""
 
 

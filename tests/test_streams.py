@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest, norm, pearsonr
 
@@ -24,9 +25,13 @@ def test_uniforms_match_the_word_formula(word_start):
 
 KEYS = [streams.stream_key(0, 0, 0), streams.stream_key(20261019, 3, 7),
         streams.stream_key(2**63 + 11, 61, 15)]
+# the 128-bit integer keys these nodes had up to package 0.5.0, kept as ids so
+# the test ids stay stable
+KEY_IDS = ["7998347603430539570", "373749840941112059089978552",
+           "170141183460469231946959704178203361409"]
 
 
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
 @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 8191, 8193])
 def test_uniforms_at_an_offset_are_a_slice_of_one_long_draw(key, start):
     count = 1000
@@ -36,9 +41,27 @@ def test_uniforms_at_an_offset_are_a_slice_of_one_long_draw(key, start):
 
 
 def test_leaves_of_the_seed_tree_start_with_different_words():
-    leaves = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # the root (seed,), protocol nodes (seed, T) and sample nodes (seed, u, p)
+    leaves = [(0,), (0, 1), (0, 2), (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
     first = {int(raw_words(streams.stream_key(*leaf), 0, 1)[0]) for leaf in leaves}
     assert len(first) == len(leaves)
+
+
+@pytest.mark.parametrize("u,p", [(0, 0), (3, 7), (61, 15)])
+def test_node_is_the_numpy_spawn_child(u, p):
+    seed = 20261019
+    child = SeedSequence(seed).spawn(u + 1)[u].spawn(p + 1)[p]
+    words = streams.generator(streams.stream_key(seed, u, p)).bit_generator.random_raw(4)
+    assert words.tolist() == PCG64DXSM(child).random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("seed,node,start", [(0, (0, 0), 0), (2**63 + 11, (61, 15), 8193)])
+def test_sample_uniforms_are_redrawn_by_numpy_alone(seed, node, start):
+    bits = PCG64DXSM(SeedSequence(seed, spawn_key=node))
+    bits.advance(start)
+    expected = Generator(bits).random(1000) + 2.0**-54
+    u = streams.uniforms(streams.stream_key(seed, *node), start, 1000)
+    assert u.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("s0,count", [(0, 1), (1, 5), (7, 300), (2999, 1)])
@@ -52,10 +75,9 @@ def test_halfint_gamma_rows_are_rows_of_one_large_call(s0, count):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
 def test_keys_refuse_seeds_outside_64_bits(seed):
-    # masking would give seed and seed mod 2^64 one stream
     with pytest.raises(ValueError, match=f"seed {seed} lies outside 0..2\\^64-1"):
         streams.stream_key(seed)
-    assert streams.stream_key(2**64 - 1, 2, 3) >> 64 == 2**64 - 1
+    assert streams.stream_key(2**64 - 1, 2, 3) == (2**64 - 1, 2, 3)
 
 
 def test_normals_are_the_box_muller_pairs_of_consecutive_words():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from hashlib import sha256
 from math import fsum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import PCG64DXSM, SeedSequence
 
 from haar_sentinel import streams
 from haar_sentinel.ensembles import (
@@ -171,6 +173,25 @@ def test_permutation_identity_reduces_to_average_randomness():
     assert rep_perm.R == rep_obs.R
     assert rep_perm.delta == rep_obs.delta
     assert rep_perm.verdict == rep_obs.verdict
+
+
+@pytest.mark.parametrize("tier,node,m_u", [("permutation", (1,), 1), ("mub", (2,), 7)])
+def test_protocol_draws_are_redrawn_by_numpy_alone(tier, node, m_u):
+    # N = 5 has N + 1 = 6 bases, so 7 picks take the first of a second ordering
+    s = make_spectrum((0, 1, 2), (1, 2, 2))
+    spec = EnsembleSpec(kind="haar", dimension=5, seed=3)
+    m_perm, seed = 2, 2**64 - 1
+    if tier == "mub":
+        [report] = mub_randomness(spec, s, [1], m_u, m_perm, 50, 0.01, seed=seed)
+    else:
+        [report] = permutation_randomness(spec, s, [1], m_perm, 50, 0.01, seed=seed)
+    rng = np.random.Generator(PCG64DXSM(SeedSequence(seed, spawn_key=node)))
+    if tier == "mub":
+        picks = np.concatenate([rng.permutation(6), rng.permutation(6)])[:m_u]
+        assert report.provenance["basis_indices"] == picks.tolist()
+    perms = [rng.permutation(5) for _ in range(m_u * m_perm)]
+    assert report.provenance["permutations"] == [sha256(q.tobytes()).hexdigest()[:12]
+                                                 for q in perms]
 
 
 def test_permutation_tier_haar_compatible():
