@@ -21,7 +21,7 @@ def main(argv):
 
     s = number_operator(n)
     print(f"{n}-qubit excitation counter: N = {s.dimension}, Tr O = {trace(s):g}, "
-          f"Tr O / N = {trace(s) / s.dimension:g}")
+          f"Tr O / N = {s.mean:g}")
     print(f"{'t':>3}  {'exact':>14}  {'lower':>12}  {'upper':>14}  {'M(eps=%g)' % epsilon:>14}")
     for t in range(1, t_max + 1):
         b = moment_bounds(s, t)

@@ -45,18 +45,14 @@ EXIT_INCOMPATIBLE = 10
 EXIT_INCONCLUSIVE = 11
 
 
-class InputError(Exception):
-    """Anything wrong with user-provided files or flags."""
-
-
 def _check_orders(orders: Sequence[int]) -> None:
     """Moment orders, from a campaign config or the moments command."""
     if not orders:
-        raise InputError("no t orders given")
+        raise ValueError("no t orders given")
     if min(orders) < 1:
-        raise InputError(f"t orders must be positive integers, got {min(orders)}")
+        raise ValueError(f"t orders must be positive integers, got {min(orders)}")
     if len(set(orders)) != len(orders):
-        raise InputError(f"t orders must be distinct, got {list(orders)}")
+        raise ValueError(f"t orders must be distinct, got {list(orders)}")
 
 
 @dataclass(frozen=True)
@@ -75,54 +71,50 @@ class CampaignConfig:
 
     def __post_init__(self):
         if not isinstance(self.tiers, (list, tuple)) or not self.tiers:
-            raise InputError(f"tiers must be a non-empty list of tier names, got {self.tiers!r}")
+            raise ValueError(f"tiers must be a non-empty list of tier names, got {self.tiers!r}")
         for tier in self.tiers:
             if tier not in TIERS:
-                raise InputError(f"unknown tier {tier!r}")
+                raise ValueError(f"unknown tier {tier!r}")
         if len(set(self.tiers)) != len(self.tiers):
-            raise InputError(f"tiers must be distinct, got {list(self.tiers)}")
+            raise ValueError(f"tiers must be distinct, got {list(self.tiers)}")
         object.__setattr__(self, "tiers", tuple(self.tiers))
         _check_orders(self.orders)
         if not (isfinite(self.epsilon) and self.epsilon > 0):
-            raise InputError(f"epsilon must be a finite positive number, got {self.epsilon}")
+            raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon}")
         if self.m_samples < 2:
-            raise InputError("budget M must be at least 2")
+            raise ValueError("budget M must be at least 2")
         if self.m_perm < 1 or self.m_u < 1:
-            raise InputError("budgets M_perm and M_u must be at least 1")
+            raise ValueError("budgets M_perm and M_u must be at least 1")
         if self.workers < 1:
-            raise InputError("workers must be at least 1")
-        streams.check_seed(self.seed)
+            raise ValueError("workers must be at least 1")
         if (self.ensemble is None) == (self.samples_path is None):
-            raise InputError('config needs exactly one of "ensemble" (a spec to sample) and '
+            raise ValueError('config needs exactly one of "ensemble" (a spec to sample) and '
                              '"samples" (a samples file)')
         if self.samples_path is not None and set(self.tiers) != {"observable"}:
-            raise InputError("pre-generated samples support the observable tier only")
+            raise ValueError("pre-generated samples support the observable tier only")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, what: str):
+    """The JSON value in the file at ``path``; ``what`` names the object it should hold."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"malformed JSON in {what} {path!r}: {exc}") from exc
 
 
 def _load_spectrum(source) -> Spectrum:
-    d = _load_json(source) if isinstance(source, str) else source
-    try:
-        return Spectrum.from_json_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid spectrum: {exc}") from exc
+    """A spectrum from its JSON object, or from the file named by a string."""
+    d = _load_json(source, "spectrum") if isinstance(source, str) else source
+    return Spectrum.from_json_dict(d)
 
 
 def _load_ensemble(source, default_seed: Optional[int] = None) -> EnsembleSpec:
-    d = _load_json(source) if isinstance(source, str) else source
-    try:
-        return EnsembleSpec.from_json_dict(d, default_seed=default_seed)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid ensemble spec: {exc}") from exc
+    """An ensemble spec from its JSON object, or from the file named by a string."""
+    d = _load_json(source, "ensemble spec") if isinstance(source, str) else source
+    return EnsembleSpec.from_json_dict(d, default_seed=default_seed)
 
 
 CAMPAIGN_KEYS = ("spectrum", "ensemble", "samples", "tiers", "t", "epsilon", "budgets", "seed",
@@ -130,35 +122,29 @@ CAMPAIGN_KEYS = ("spectrum", "ensemble", "samples", "tiers", "t", "epsilon", "bu
 
 
 def load_campaign(path: str, workers_override: Optional[int] = None) -> CampaignConfig:
-    d = _load_json(path)
-    try:
-        check_keys(d, CAMPAIGN_KEYS, "campaign config", required=("spectrum", "epsilon", "seed"))
-        seed = require_int(d["seed"], "seed")
-        orders = d.get("t", 1)
-        if not isinstance(orders, list):
-            orders = [orders]
-        budgets = d.get("budgets", {})
-        check_keys(budgets, ("M", "M_perm", "M_u"), "budgets")
-        cfg = CampaignConfig(
-            spectrum=_load_spectrum(d["spectrum"]),
-            ensemble=(_load_ensemble(d["ensemble"], default_seed=seed)
-                      if "ensemble" in d else None),
-            tiers=d.get("tiers", ["observable"]),
-            orders=tuple(require_int(t, "t") for t in orders),
-            epsilon=require_real(d["epsilon"], "epsilon"),
-            m_samples=require_int(budgets.get("M", 10_000), "M"),
-            m_perm=require_int(budgets.get("M_perm", 1), "M_perm"),
-            m_u=require_int(budgets.get("M_u", 1), "M_u"),
-            seed=seed,
-            workers=(workers_override if workers_override is not None
-                     else require_int(d.get("workers", 1), "workers")),
-            samples_path=require_str(d["samples"], "samples") if "samples" in d else None,
-        )
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid campaign config: {exc}") from exc
-    return cfg
+    d = _load_json(path, "campaign config")
+    check_keys(d, CAMPAIGN_KEYS, "campaign config", required=("spectrum", "epsilon", "seed"))
+    seed = require_int(d["seed"], "seed")
+    streams.check_seed(seed)  # before an ensemble spec without a seed takes it
+    orders = d.get("t", 1)
+    if not isinstance(orders, list):
+        orders = [orders]
+    budgets = d.get("budgets", {})
+    check_keys(budgets, ("M", "M_perm", "M_u"), "budgets")
+    return CampaignConfig(
+        spectrum=_load_spectrum(d["spectrum"]),
+        ensemble=_load_ensemble(d["ensemble"], default_seed=seed) if "ensemble" in d else None,
+        tiers=d.get("tiers", ["observable"]),
+        orders=tuple(require_int(t, "t") for t in orders),
+        epsilon=require_real(d["epsilon"], "epsilon"),
+        m_samples=require_int(budgets.get("M", 10_000), "M"),
+        m_perm=require_int(budgets.get("M_perm", 1), "M_perm"),
+        m_u=require_int(budgets.get("M_u", 1), "M_u"),
+        seed=seed,
+        workers=(workers_override if workers_override is not None
+                 else require_int(d.get("workers", 1), "workers")),
+        samples_path=require_str(d["samples"], "samples") if "samples" in d else None,
+    )
 
 
 def _parse_orders(expr: str) -> list[int]:
@@ -170,7 +156,7 @@ def _parse_orders(expr: str) -> list[int]:
         else:
             orders = [int(tok) for tok in expr.split(",")]
     except ValueError as exc:
-        raise InputError(f"cannot parse order list {expr!r} (use '1..4' or '1,2,3')") from exc
+        raise ValueError(f"cannot parse order list {expr!r} (use '1..4' or '1,2,3')") from exc
     _check_orders(orders)
     return orders
 
@@ -321,10 +307,7 @@ def _cmd_mub(args) -> int:
             json.dump(payload, sys.stdout, indent=2)
             print()
         return EXIT_OK
-    try:
-        mubs = MubSet.from_json_dict(_load_json(args.file))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid MUB set: {exc}") from exc
+    mubs = MubSet.from_json_dict(_load_json(args.file, "MUB set"))
     i, j, worst = mubs.worst_pair()
     if not worst <= UNBIASED_TOL:
         print(f"bases {i} and {j} are NOT unbiased (deviation {worst:.2e})")
@@ -382,7 +365,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedDimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_MUB
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

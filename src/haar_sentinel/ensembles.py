@@ -71,7 +71,7 @@ class EnsembleSpec:
         if self.kind not in PARAM_KEYS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         check_keys(self.params, PARAM_KEYS[self.kind], f"{self.kind} params")
-        streams.check_seed(self.seed)
+        streams.check_seed(self.seed, "ensemble seed")
         if self.kind == "haar":
             if not 2 <= self.dimension <= MAX_DIMENSION:
                 raise ValueError(f"haar dimension {self.dimension} outside 2..{MAX_DIMENSION}")
@@ -116,15 +116,20 @@ class EnsembleSpec:
             raise ValueError(f"n is {d['n']} but params.n is {params['n']}")
         if ns:
             params["n"] = ns.pop()
+            if not 1 <= params["n"] <= 20:  # before 2^n is formed
+                raise ValueError(f"n = {params['n']} outside 1..20")
         if "N" not in d and "n" not in params:
             raise ValueError("missing key 'N' (or 'n') in ensemble spec")
         dim = 2 ** params["n"] if "N" not in d else require_int(d["N"], "N")
         if "n" in params and dim != 2 ** params["n"]:
             raise ValueError(f"N = {dim} is not 2^n = {2 ** params['n']}")
+        if "n" in d and kind != "counterexample":
+            raise ValueError(f"n = {d['n']} in ensemble spec applies to kind 'counterexample' "
+                             f"only, not {kind!r}")
         seed = d.get("seed", default_seed)
         if seed is None:
             raise ValueError("ensemble spec needs a seed")
-        return EnsembleSpec(kind=kind, dimension=dim, seed=require_int(seed, "seed"),
+        return EnsembleSpec(kind=kind, dimension=dim, seed=require_int(seed, "ensemble seed"),
                             params=params)
 
 

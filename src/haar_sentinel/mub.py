@@ -44,13 +44,13 @@ class MubBasis:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("basis matrix must be square")
+            raise ValueError(f"basis {self.label!r}: matrix must be square")
         if m.shape[0] < 2:
-            raise ValueError("dimension must be at least 2")
+            raise ValueError(f"basis {self.label!r}: dimension must be at least 2")
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries: dev is nan or inf
             dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if not dev <= UNBIASED_TOL:
-            raise ValueError(f"columns not orthonormal (deviation {dev:.2e})")
+            raise ValueError(f"basis {self.label!r}: columns not orthonormal (deviation {dev:.2e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -103,11 +103,14 @@ class MubSet:
         bases = []
         for e in require_list(d["bases"], "bases"):
             check_keys(e, basis_keys, "MUB basis", required=basis_keys)
-            columns = np.asarray(e["columns"], dtype=float)
-            if columns.shape != (n_dim, n_dim, 2):
-                raise ValueError(f"basis {e['label']!r}: columns of shape {columns.shape}, "
-                                 f"expected ({n_dim}, {n_dim}, 2)")
             label = require_str(e["label"], "label")
+            try:
+                columns = np.asarray(e["columns"], dtype=float)
+            except (TypeError, ValueError, OverflowError):  # ragged, or not all numbers
+                raise ValueError(f"basis {label!r}: columns are not an array of numbers") from None
+            if columns.shape != (n_dim, n_dim, 2):
+                raise ValueError(f"basis {label!r}: columns of shape {columns.shape}, "
+                                 f"expected ({n_dim}, {n_dim}, 2)")
             bases.append(MubBasis(columns.view(complex)[..., 0].T, label))
         return MubSet(bases=tuple(bases), dimension=n_dim)
 

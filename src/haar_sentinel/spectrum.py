@@ -38,10 +38,13 @@ def require_int(value, name: str) -> int:
 
 
 def require_real(value, name: str) -> float:
-    """A real input field as a float; a bool, string or None raises ValueError naming it."""
+    """A real input field as a float; a bool, string, None or too large an int raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name}: expected a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: {value} is beyond double-precision range") from None
 
 
 def require_list(value, name: str) -> list:
@@ -63,12 +66,14 @@ class Spectrum:
     """Distinct non-negative eigenvalues with multiplicities, sorted ascending.
 
     ``eigenvalues[i]`` occurs ``multiplicities[i]`` times; ``dimension`` is the
-    total Hilbert-space dimension.
+    total Hilbert-space dimension; ``mean`` is Tr O / N, the mean expectation
+    value of a uniformly random state.
     """
 
     eigenvalues: tuple[float, ...]
     multiplicities: tuple[int, ...]
     dimension: int = field(init=False)
+    mean: float = field(init=False)
 
     def __post_init__(self):
         if len(self.eigenvalues) == 0:
@@ -80,13 +85,13 @@ class Spectrum:
             )
         for lam in self.eigenvalues:
             if not np.isfinite(lam) or lam < 0:
-                raise ValueError(f"eigenvalue {lam} is not a finite non-negative real")
+                raise ValueError(f"eigenvalues: {lam} is not a finite non-negative real")
         if len(set(self.eigenvalues)) != len(self.eigenvalues):
             raise ValueError("duplicate eigenvalue in spectrum")
         multiplicities = tuple(require_int(m, "multiplicities") for m in self.multiplicities)
         for m in multiplicities:
             if m < 1:
-                raise ValueError(f"multiplicity {m} is not a positive integer")
+                raise ValueError(f"multiplicities: {m} is not a positive integer")
         if any(self.eigenvalues[i] > self.eigenvalues[i + 1]
                for i in range(len(self.eigenvalues) - 1)):
             raise ValueError("eigenvalues must be sorted ascending (use make_spectrum)")
@@ -95,6 +100,7 @@ class Spectrum:
             raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIMENSION}")
         object.__setattr__(self, "multiplicities", multiplicities)
         object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "mean", trace(self) / n)
 
     @property
     def levels(self) -> int:
@@ -194,7 +200,8 @@ def make_spectrum(eigenvalues: Sequence[float], multiplicities: Sequence[int]) -
     """Validate and canonicalize (ascending eigenvalue order) a spectrum."""
     if len(eigenvalues) != len(multiplicities):
         raise ValueError("eigenvalues and multiplicities must have equal length")
-    pairs = sorted(zip((require_real(v, "eigenvalues") for v in eigenvalues), multiplicities))
+    pairs = sorted(zip((require_real(v, "eigenvalues") for v in eigenvalues),
+                       (require_int(m, "multiplicities") for m in multiplicities)))
     return Spectrum(
         eigenvalues=tuple(p[0] for p in pairs),
         multiplicities=tuple(p[1] for p in pairs),

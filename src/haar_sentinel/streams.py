@@ -48,10 +48,10 @@ CHUNK_SAMPLES = 8192
 RUN = 18
 
 
-def check_seed(seed: int) -> None:
+def check_seed(seed: int, name: str = "seed") -> None:
     """Refuse a seed outside 0..2^64-1, the range of campaign and ensemble seeds."""
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {seed} lies outside 0..2^64-1")
+        raise ValueError(f"{name} {seed} lies outside 0..2^64-1")
 
 
 def stream_key(seed: int, *node: int) -> Key:

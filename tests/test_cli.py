@@ -1,10 +1,13 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from haar_sentinel.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED_MUB,
-    InputError,
+    CAMPAIGN_KEYS,
     exit_code_for,
     load_campaign,
     main,
@@ -311,7 +314,7 @@ def test_verify_rejects_worker_counts_below_one(tmp_path, config_workers, flag):
     if flag is not None:
         argv += ["--workers", str(flag)]
     assert main(argv) == EXIT_INPUT
-    with pytest.raises(InputError, match="workers"):
+    with pytest.raises(ValueError, match="workers"):
         load_campaign(cfg, workers_override=flag)
 
 
@@ -699,15 +702,17 @@ def test_verify_overflowing_sample_budget_is_bad_input(tmp_path, capsys):
     assert "order 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", [
-    {},
-    {"dimension": 2, "bases": [{"label": "computational"}]},
-    {"dimension": 2, "bases": [{"label": "x", "columns": [[1, 0], [0, 1]]}]},
-])
-def test_mub_check_malformed_file_is_bad_input(tmp_path, capsys, payload):
+@pytest.mark.parametrize("payload, problem", [
+    ({}, "missing key 'dimension' in MUB set"),
+    ({"dimension": 2, "bases": [{"label": "computational"}]},
+     "missing key 'columns' in MUB basis"),
+    ({"dimension": 2, "bases": [{"label": "x", "columns": [[1, 0], [0, 1]]}]},
+     "basis 'x': columns of shape (2, 2), expected (2, 2, 2)"),
+], ids=["payload0", "payload1", "payload2"])
+def test_mub_check_malformed_file_is_bad_input(tmp_path, capsys, payload, problem):
     path = write_json(tmp_path, "mub.json", payload)
     assert main(["mub", "check", "--file", path]) == EXIT_INPUT
-    assert "invalid MUB set" in capsys.readouterr().err
+    assert problem in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, problem", [
@@ -766,6 +771,9 @@ def test_verify_rejects_ensemble_params_without_meaning(tmp_path, capsys, ensemb
     ({"ensemble": {"kind": "counterexample", "n": True, "seed": 17},
       "spectrum": {"eigenvalues": [0, 1], "multiplicities": [1, 1]}},
      "n: expected an integer, got True"),
+    # checked before the pairs are sorted, which would compare None with {}
+    ({"spectrum": {"eigenvalues": [1, 1], "multiplicities": [None, {}]}},
+     "multiplicities: expected an integer, got None"),
 ])
 def test_verify_accepts_only_json_integers(tmp_path, capsys, overrides, problem):
     cfg = _campaign(tmp_path, **{"budgets": {"M": 100, "M_perm": 2, "M_u": 2}, **overrides})
@@ -800,6 +808,7 @@ def test_verify_accepts_only_json_real_numbers(tmp_path, capsys, overrides, prob
 @pytest.mark.parametrize("eigenvalues, problem", [
     (["1", 2], "eigenvalues: expected a real number, got '1'"),
     ([0, False], "eigenvalues: expected a real number, got False"),
+    ([0, 10**400], f"eigenvalues: {10**400} is beyond double-precision range"),
 ])
 def test_moments_accepts_only_json_real_eigenvalues(tmp_path, capsys, eigenvalues, problem):
     path = write_json(tmp_path, "s.json", {"eigenvalues": eigenvalues, "multiplicities": [1, 1]})
@@ -824,7 +833,7 @@ def test_extended_reports_rebuild_from_a_report_document_and_its_config(tmp_path
                     budgets={"M": 300, "M_perm": 3, "M_u": 2}, seed=5)
     out = tmp_path / "report.json"
     main(["verify", "--config", cfg, "--out", str(out)])
-    config = json.loads(open(cfg).read())
+    config = json.loads(Path(cfg).read_text())
     s = Spectrum.from_json_dict(config["spectrum"])
     reports = json.loads(out.read_text())["reports"]
     assert [r["tier"] for r in reports] == ["permutation", "mub"] * 2
@@ -854,12 +863,15 @@ def test_mub_check_names_the_pair_that_is_not_unbiased(tmp_path, capsys):
     assert "bases 1 and 2 are NOT unbiased (deviation 8.00e-01)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("entry", [
-    lambda re, im: [float("nan"), float("nan")],
-    lambda re, im: [re, float("inf")],
-    lambda re, im: [re, im, 0.0, 0.0],
+@pytest.mark.parametrize("entry, problem", [
+    (lambda re, im: [float("nan"), float("nan")],
+     "basis 'computational': columns not orthonormal (deviation nan)"),
+    (lambda re, im: [re, float("inf")],
+     "basis 'computational': columns not orthonormal (deviation nan)"),
+    (lambda re, im: [re, im, 0.0, 0.0],
+     "basis 'computational': columns of shape (2, 2, 4), expected (2, 2, 2)"),
 ], ids=["nan", "infinity", "four-wide"])
-def test_mub_check_refuses_non_finite_and_malformed_entries(tmp_path, capsys, entry):
+def test_mub_check_refuses_non_finite_and_malformed_entries(tmp_path, capsys, entry, problem):
     path = tmp_path / "mub2.json"
     assert main(["mub", "dump", "-N", "2", "--out", str(path)]) == EXIT_OK
     payload = json.loads(path.read_text())
@@ -868,7 +880,7 @@ def test_mub_check_refuses_non_finite_and_malformed_entries(tmp_path, capsys, en
     path.write_text(json.dumps(payload))
     assert main(["mub", "check", "--file", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
-    assert "invalid MUB set" in captured.err
+    assert problem in captured.err
     assert captured.out == ""
 
 
@@ -887,6 +899,18 @@ def test_verify_samples_field_must_be_a_json_string(tmp_path, capsys, samples):
     ({"kind": "counterexample", "n": 6, "seed": 7, "params": {"n": 5}},
      "n is 6 but params.n is 5"),
     ({"kind": "haar", "N": 4, "n": 3, "seed": 7}, "N = 4 is not 2^n = 8"),
+    # n is the counterexample's qubit count; no other kind has params to hold it
+    ({"kind": "haar", "n": 3, "seed": 1},
+     "n = 3 in ensemble spec applies to kind 'counterexample' only, not 'haar'"),
+    ({"kind": "haar", "N": 8, "n": 3, "seed": 1},
+     "n = 3 in ensemble spec applies to kind 'counterexample' only, not 'haar'"),
+    ({"kind": "fixed_basis_state", "n": 2, "seed": 1, "params": {"basis_index": 0}},
+     "n = 2 in ensemble spec applies to kind 'counterexample' only, not 'fixed_basis_state'"),
+    # refused before 2^n is formed
+    ({"kind": "counterexample", "n": 0, "seed": 1}, "n = 0 outside 1..20"),
+    ({"kind": "counterexample", "n": 21, "seed": 1}, "n = 21 outside 1..20"),
+    ({"kind": "counterexample", "params": {"n": 1_000_000}, "seed": 1},
+     "n = 1000000 outside 1..20"),
 ])
 def test_ensemble_spec_states_n_once(tmp_path, capsys, ensemble, problem):
     out = tmp_path / "samples.csv"
@@ -943,7 +967,7 @@ def _spectrum_command(tmp_path, edit):
 
 
 def _config_command(tmp_path, edit):
-    config = json.loads(open(_campaign(tmp_path)).read())
+    config = json.loads(Path(_campaign(tmp_path)).read_text())
     return ["verify", "--config", write_json(tmp_path, "c.json", edit(config))]
 
 
@@ -1008,6 +1032,96 @@ def test_readers_name_a_field_of_the_wrong_container_type(tmp_path, capsys, comm
     captured = capsys.readouterr()
     assert problem in captured.err
     assert captured.out == ""
+
+
+SWEEP_VALUES = [None, True, "abc", 1.5, [], {}, float("nan")]
+SWEEP_CONFIG = {
+    "spectrum": {"eigenvalues": [0, 1, 2], "multiplicities": [1, 1, 1]},
+    "ensemble": {"kind": "haar", "N": 3, "seed": 17},
+    "tiers": ["observable", "permutation", "mub"],
+    "t": [1],
+    "epsilon": 0.05,
+    "budgets": {"M": 64, "M_perm": 2, "M_u": 2},
+    "seed": 17,
+}
+SWEEP_KINDS = {
+    "counterexample": {"kind": "counterexample", "seed": 17, "params": {"n": 2}},
+    "fixed_basis_state": {"kind": "fixed_basis_state", "N": 3, "seed": 17,
+                          "params": {"basis_index": 0}},
+    "dirichlet_amplitudes": {"kind": "dirichlet_amplitudes", "N": 3, "seed": 17,
+                             "params": {"alpha": [0.5, 0.5, 0.5]}},
+}
+SWEEP_OBJECTS = ("campaign config", "budgets", "ensemble spec", "params", "spectrum", "MUB set",
+                 "MUB basis")
+
+
+def _sweep_fields() -> dict:
+    """Each field: (its campaign config, or None for a MUB set; path to it; values valid there)."""
+    config = SWEEP_CONFIG
+    kinds = {kind: {**config, "ensemble": spec} for kind, spec in SWEEP_KINDS.items()}
+    fields = {f"config-{key}": (config, (key,), ()) for key in CAMPAIGN_KEYS}
+    fields["config-epsilon"] = (config, ("epsilon",), [1.5])
+    fields["config-budgets"] = (config, ("budgets",), [{}])
+    for key in ("M", "M_perm", "M_u"):
+        fields[f"budgets-{key}"] = (config, ("budgets", key), ())
+    for key in ("kind", "N", "n", "seed", "params"):
+        fields[f"ensemble-{key}"] = (config, ("ensemble", key), [{}] if key == "params" else ())
+    fields["params-n"] = (kinds["counterexample"], ("ensemble", "params", "n"), ())
+    fields["params-basis_index"] = (kinds["fixed_basis_state"],
+                                    ("ensemble", "params", "basis_index"), ())
+    fields["params-alpha"] = (kinds["dirichlet_amplitudes"], ("ensemble", "params", "alpha"), ())
+    fields["params-alpha-entry"] = (kinds["dirichlet_amplitudes"],
+                                    ("ensemble", "params", "alpha", 1), [1.5])
+    for key in ("eigenvalues", "multiplicities"):
+        fields[f"spectrum-{key}"] = (config, ("spectrum", key), ())
+        fields[f"spectrum-{key}-entry"] = (config, ("spectrum", key, 1),
+                                           [1.5] if key == "eigenvalues" else ())
+    for key in ("dimension", "bases"):
+        fields[f"mub-{key}"] = (None, (key,), ())
+    fields["mub-basis-label"] = (None, ("bases", 1, "label"), ["abc"])
+    fields["mub-basis-columns"] = (None, ("bases", 1, "columns"), ())
+    fields["mub-basis-entry"] = (None, ("bases", 1, "columns", 0, 0), ())
+    return fields
+
+
+SWEEP_FIELDS = _sweep_fields()
+
+
+@pytest.mark.parametrize("case", list(SWEEP_FIELDS))
+def test_every_reader_field_refuses_each_wrong_json_value(tmp_path, monkeypatch, capsys, case):
+    """null, true, a string, 1.5, [], {} and NaN in one field: exit 2 naming the field.
+
+    No message carries an "invalid <object>:" prefix or repeats the name of its object.
+    """
+    monkeypatch.chdir(tmp_path)  # a string spectrum or ensemble names a file; none exists
+    base, path, valid = SWEEP_FIELDS[case]
+    if base is None:
+        base = mub_complete_set(2).to_json_dict()
+        command = ["mub", "check", "--file"]
+    else:
+        command = ["verify", "--config"]
+    field = [key for key in path if isinstance(key, str)][-1]
+    failures = []
+    for value in SWEEP_VALUES:
+        if value in valid:
+            continue
+        document = copy.deepcopy(base)
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            code = main([*command, write_json(tmp_path, "input.json", document)])
+        except Exception as exc:  # would be a traceback and exit 1 from the command line
+            code = type(exc).__name__
+        captured = capsys.readouterr()
+        message = captured.err
+        if (code != EXIT_INPUT or captured.out
+                or not re.search(rf"\b{re.escape(field)}\b", message)
+                or message.startswith("error: invalid ")
+                or any(message.count(name) > 1 for name in SWEEP_OBJECTS)):
+            failures.append((value, code, message))
+    assert failures == []
 
 
 @pytest.mark.parametrize("field", ["seed", "ensemble seed"])
