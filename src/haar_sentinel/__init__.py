@@ -1,6 +1,6 @@
 """Statistical verification of Haar-randomness via observable spectra."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .ensembles import (
     EnsembleSpec,

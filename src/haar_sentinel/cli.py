@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__, streams
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
-from .haar_moments import exact_moment, moment_bounds
+from .haar_moments import exact_moment, moment_bounds, required_samples
 from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
 from .spectrum import Spectrum, check_keys, require_int, require_real, require_str
 from .verify import (
@@ -44,6 +44,13 @@ EXIT_UNSUPPORTED_MUB = 4
 EXIT_INCOMPATIBLE = 10
 EXIT_INCONCLUSIVE = 11
 
+# Caps on the counts a campaign or a flag may ask for, checked before any word
+# is drawn; streams.MAX_SAMPLES caps M and generate -M.  An order takes O(t^2)
+# steps of exact_moment's recurrence, and a unit holds one permutation of N
+# entries, drawn before the first unit samples.
+MAX_ORDER = 256
+MAX_UNITS = 4096
+
 
 def _check_orders(orders: Sequence[int]) -> None:
     """Moment orders, from a campaign config or the moments command."""
@@ -51,6 +58,8 @@ def _check_orders(orders: Sequence[int]) -> None:
         raise ValueError("no t orders given")
     if min(orders) < 1:
         raise ValueError(f"t orders must be positive integers, got {min(orders)}")
+    if max(orders) > MAX_ORDER:
+        raise ValueError(f"t orders must be at most {MAX_ORDER}, got {max(orders)}")
     if len(set(orders)) != len(orders):
         raise ValueError(f"t orders must be distinct, got {list(orders)}")
 
@@ -81,10 +90,11 @@ class CampaignConfig:
         _check_orders(self.orders)
         if not (isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon}")
-        if self.m_samples < 2:
-            raise ValueError("budget M must be at least 2")
-        if self.m_perm < 1 or self.m_u < 1:
-            raise ValueError("budgets M_perm and M_u must be at least 1")
+        if not 2 <= self.m_samples <= streams.MAX_SAMPLES:
+            raise ValueError(f"budget M must be in 2..2^32, got {self.m_samples}")
+        for name, budget in (("M_perm", self.m_perm), ("M_u", self.m_u)):
+            if not 1 <= budget <= MAX_UNITS:
+                raise ValueError(f"budget {name} must be in 1..{MAX_UNITS}, got {budget}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if (self.ensemble is None) == (self.samples_path is None):
@@ -92,6 +102,9 @@ class CampaignConfig:
                              '"samples" (a samples file)')
         if self.samples_path is not None and set(self.tiers) != {"observable"}:
             raise ValueError("pre-generated samples support the observable tier only")
+        for t in self.orders:  # an order beyond double range exits before any word is drawn
+            exact_moment(self.spectrum, t)
+            required_samples(self.spectrum, t, self.epsilon)
 
 
 def _load_json(path: str, what: str):
@@ -151,8 +164,9 @@ def _parse_orders(expr: str) -> list[int]:
     expr = expr.strip()
     try:
         if ".." in expr:
-            lo, hi = expr.split("..")
-            orders = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(tok) for tok in expr.split(".."))
+            # an out-of-range end is refused by _check_orders before the list is built
+            orders = list(range(lo, hi + 1)) if 1 <= lo and hi <= MAX_ORDER else [lo, hi]
         else:
             orders = [int(tok) for tok in expr.split(",")]
     except ValueError as exc:

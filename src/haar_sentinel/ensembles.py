@@ -93,6 +93,13 @@ class EnsembleSpec:
             for a in alpha:
                 if not (isfinite(require_real(a, "alpha")) and a > 0):
                     raise ValueError(f"alpha entry {a} is not a positive real")
+            try:
+                words = streams.halfint_gamma_words(alpha)
+            except ValueError:  # the general path: one word per shape
+                words = len(alpha)
+            if words > streams.MAX_SAMPLE_WORDS:
+                raise ValueError(f"alpha: shapes summing to {sum(alpha)!r} would draw {words} "
+                                 f"words per sample, above 2^20")
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind, "N": self.dimension, "seed": self.seed}
@@ -179,37 +186,34 @@ def _quadratic_form(basis: np.ndarray, support, diag: np.ndarray) -> np.ndarray:
     return (u.real * diag) @ u.real.T + (u.imag * diag) @ u.imag.T
 
 
-def state_blocks(
+def _drawn_blocks(
     spec: EnsembleSpec,
-    stream: tuple[int, int] = (0, 0),
-    rotated: bool = False,
-) -> tuple[slice | Sequence[int], Callable[[int, int], np.ndarray]]:
-    """(support S, states): states(start, count) is the (count, |S|) block of samples start..
+    stream: tuple[int, int],
+    rotated: bool,
+) -> tuple[slice | Sequence[int], Callable[[int, int], np.ndarray],
+           Callable[[np.ndarray, int, int], np.ndarray]]:
+    """(support S, rows, order): the states of state_blocks, in the order they are drawn.
 
-    Row i holds state i's unnormalised squared amplitudes on S, or its
-    unnormalised real amplitudes when ``rotated``: the state is the row
-    divided by its sum (plain) or by its Euclidean norm (rotated), which
-    probe_blocks does as the denominator of a ratio.  ``stream`` is the
-    (basis index, permutation index) node of the seed tree; sample i draws
-    from a fixed word range of that node's stream (see streams).  A Haar
-    state i is the first N normals z of words [iW, (i + 1)W),
-    W = N + (N mod 2): its row is z^2, or z rotated; a Dirichlet state's row
-    is its gammas g, or sqrt(g) rotated.  So a state is the same state
-    whether it is measured rotated or not.
+    rows(start, count) holds the rows of samples start..start + count - 1,
+    and order(x, start, count) picks those samples' entries of x, one per
+    row along its first axis, in sample order.  A Haar block draws whole
+    sample pairs: the cosine rows of its pairs, then their sine rows, with
+    one spare row at an odd start and one at an odd end.  Every other kind
+    draws its samples in order, and order returns x itself.
     """
     key = streams.stream_key(spec.seed, *stream)
     if spec.kind == "fixed_basis_state":
-        return [spec.params["basis_index"]], lambda s0, c: np.ones((c, 1))
+        return [spec.params["basis_index"]], lambda s0, c: np.ones((c, 1)), _as_drawn
     if spec.kind == "haar":
-        # Box-Muller normals come in pairs: an odd N draws one spare normal per state
         n_dim = spec.dimension
-        words = n_dim + n_dim % 2
 
-        def states(s0, c):
-            z = streams.standard_normals(key, s0 * words, c * words).reshape(c, words)[:, :n_dim]
+        def rows(s0, c):
+            first, stop = s0 // 2, (s0 + c + 1) // 2  # the sample pairs of samples s0..s0+c-1
+            z = streams.standard_normals(key, first * n_dim, 2 * (stop - first) * n_dim)
+            z = z.reshape(-1, n_dim)
             return z if rotated else np.square(z, out=z)
 
-        return slice(None), states
+        return slice(None), rows, _pair_order
     # counterexample and dirichlet_amplitudes: Dirichlet masses on a support
     if spec.kind == "counterexample":
         support = counterexample_support(spec.params["n"])
@@ -223,11 +227,46 @@ def state_blocks(
     except ValueError:
         gamma_matrix = streams.general_gamma_matrix
 
-    def states(s0, c):
+    def rows(s0, c):
         g = gamma_matrix(key, s0, c, alpha)
         return np.sqrt(g, out=g) if rotated else g
 
-    return support, states
+    return support, rows, _as_drawn
+
+
+def _as_drawn(x: np.ndarray, s0: int, c: int) -> np.ndarray:
+    return x
+
+
+def _pair_order(x: np.ndarray, s0: int, c: int) -> np.ndarray:
+    """Samples s0..s0+c-1 of pair-major x: the entries of pair cosines, then of pair sines."""
+    skip = s0 % 2
+    return x.reshape(2, -1, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)[skip:skip + c]
+
+
+def state_blocks(
+    spec: EnsembleSpec,
+    stream: tuple[int, int] = (0, 0),
+    rotated: bool = False,
+) -> tuple[slice | Sequence[int], Callable[[int, int], np.ndarray]]:
+    """(support S, states): states(start, count) is the (count, |S|) block of samples start..
+
+    Row i holds state i's unnormalised squared amplitudes on S, or its
+    unnormalised real amplitudes when ``rotated``: the state is the row
+    divided by its sum (plain) or by its Euclidean norm (rotated), which
+    probe_blocks does as the denominator of a ratio.  ``stream`` is the
+    (basis index, permutation index) node of the seed tree; sample i draws
+    from a fixed word range of that node's stream (see streams).  Haar
+    samples 2m and 2m + 1 share N Box-Muller pairs, the pairs of radius words
+    [mN, (m + 1)N) and angle words ANGLE_WORDS + [mN, (m + 1)N): amplitude k
+    of sample 2m is the cosine normal z of pair k, amplitude k of sample
+    2m + 1 its sine normal, and a Haar row is z^2, or z rotated.  A Dirichlet
+    state's row is its gammas g, or sqrt(g) rotated.  So a state is the same
+    state whether it is measured rotated or not.  probe_blocks measures the
+    rows in the order they are drawn and puts only the values in sample order.
+    """
+    support, rows, order = _drawn_blocks(spec, stream, rotated)
+    return support, lambda s0, c: order(rows(s0, c), s0, c)
 
 
 def probe_blocks(
@@ -244,7 +283,9 @@ def probe_blocks(
     K on the support S, formed once per call: c |S|^2 multiply-adds per block
     of c states instead of the 4 c |S| N of the complex product U^dagger psi.
     Each value is a ratio on the unnormalised rows w of state_blocks:
-    (w . lambda_S)/(w . 1) unrotated, and w^T K w / w^T w rotated.
+    (w . lambda_S)/(w . 1) unrotated, and w^T K w / w^T w rotated.  The
+    values are computed on the rows as drawn, a Haar block's spare rows
+    included, and only the values are put in sample order.
     """
     if a.dimension != spec.dimension:
         raise ValueError(f"assignment dimension {a.dimension} != "
@@ -252,7 +293,7 @@ def probe_blocks(
     if basis is not None and basis.dimension != spec.dimension:
         raise ValueError(f"basis dimension {basis.dimension} does not match "
                          f"dimension {spec.dimension}")
-    support, states = state_blocks(spec, stream, rotated=basis is not None)
+    support, states, order = _drawn_blocks(spec, stream, rotated=basis is not None)
     if basis is None:
         diag = a.as_array()[support]
         ones = np.ones_like(diag)
@@ -261,7 +302,7 @@ def probe_blocks(
         # faster on 9-wide rows, but it raised the peak RSS by about 0.1 MiB
         def ratio(s0, c):
             w = states(s0, c)
-            return (w @ diag) / (w @ ones)
+            return order((w @ diag) / (w @ ones), s0, c)
 
         return ratio
     form = _quadratic_form(basis.matrix, support, a.as_array())
@@ -272,12 +313,12 @@ def probe_blocks(
 
     def block(s0, c):
         amps = states(s0, c)
-        values = np.empty(c)
-        for i in range(0, c, rows):
+        values = np.empty(len(amps))
+        for i in range(0, len(amps), rows):
             part = amps[i:i + rows]
             values[i:i + rows] = np.einsum("ij,ij->i", part @ form, part)
         values /= np.einsum("ij,ij->i", amps, amps)
-        return values
+        return order(values, s0, c)
 
     return block
 
@@ -296,8 +337,8 @@ def generate_expectation_samples(
     streams.chunked_samples.  This holds all M values; the verification tiers
     instead reduce each block in the thread that drew it.
     """
-    if m_samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= m_samples <= streams.MAX_SAMPLES:
+        raise ValueError(f"M = {m_samples} samples outside 1..2^32")
     return np.concatenate(streams.chunked_samples(m_samples, probe_blocks(spec, a, basis, stream),
                                                   workers))
 

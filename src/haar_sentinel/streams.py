@@ -14,10 +14,15 @@ depend on chunking, scheduling, or worker count.
 All transforms applied to those words consume a fixed number of words per
 sample, which is what keeps the per-sample word ranges static.  Standard
 normals come from the Box-Muller transform (Box and Muller, Ann. Math. Stat.
-29, 610 (1958)), two normals per pair of consecutive words, written with the
-half-angle tangent.  Gamma variates with half-integer shape are sums of exact
-unit exponentials and halves of squared Box-Muller normals; the m
-exponentials of a Gamma(m) are -log of products of runs of at most RUN
+29, 610 (1958)), written with the half-angle tangent: a pair of uniforms
+(a, b), a radius word and an angle word, gives the two normals r cos(theta)
+and r sin(theta).  Haar states read their radius words from the start of a
+node's stream and their angle words from ANGLE_WORDS on, so that the
+transform runs on two contiguous arrays; the cosine normals of a pair block
+are one sample and its sine normals the next (ensembles.state_blocks).
+Gamma variates with half-integer shape are sums of exact unit exponentials
+and halves of squared Box-Muller normals, from pairs of consecutive words;
+the m exponentials of a Gamma(m) are -log of products of runs of at most RUN
 uniforms, one log per run instead of one per word.  The bits therefore
 depend on NumPy's dispatched float64 ``log`` and ``tan`` as well as on the
 words: one NumPy build on one CPU family always gives the same values,
@@ -42,6 +47,19 @@ Key = tuple[int, ...]
 # half-integers need its inverse incomplete gamma function.
 
 CHUNK_SAMPLES = 8192
+
+# Samples one stream may serve (a campaign's M, generate -M): the radius words
+# of 2^32 Haar samples of dimension N <= 2^20 lie below 2^51, far from
+# ANGLE_WORDS, and their chunk grid holds 2^19 jobs.
+MAX_SAMPLES = 2**32
+
+# Words one Dirichlet sample may read: room for N = 2^20 shapes of 1/2, and
+# for the counterexample at n = 20 (2^19 + 2 words).
+MAX_SAMPLE_WORDS = 2**20
+
+# Word offset of a node's Box-Muller angle words: the pair whose radius is
+# word w takes its angle from word ANGLE_WORDS + w of the same node.
+ANGLE_WORDS = 2**64
 
 # Uniforms per product in halfint_gamma_matrix: each is at least 2^-54, so a
 # product of RUN = 18 is at least 2^-972, a normal double, and never underflows.
@@ -85,23 +103,28 @@ def uniforms(key: Key, word_start: int, count: int) -> np.ndarray:
     gives exactly 1.0.  -log u and Box-Muller take 1.0 without harm; a caller
     that cannot must clamp it.
     """
-    u = generator(key, word_start).random(count)
-    u += 2.0**-54
-    return u
+    return _fill_uniforms(generator(key, word_start), np.empty(count))
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from word-format uniforms, in place; the last axis pairs consecutive entries.
+def _fill_uniforms(rng: Generator, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the uniforms of the next len(out) words of ``rng``."""
+    rng.random(out=out)
+    out += 2.0**-54
+    return out
 
-    Pair (a, b) gives r = sqrt(-2 log a) and t = tan(pi (b - 1/2)) = tan(theta/2)
-    with theta uniform on (-pi, pi), and then the normals r cos(theta) =
+
+def _box_muller(a: np.ndarray, b: np.ndarray) -> None:
+    """Normals from word-format uniforms, in place: a becomes r cos(theta), b r sin(theta).
+
+    Entry k of the radius uniforms a and of the angle uniforms b gives
+    r = sqrt(-2 log a_k) and t = tan(pi (b_k - 1/2)) = tan(theta/2) with
+    theta uniform on (-pi, pi), and then the normals r cos(theta) =
     r (1 - t^2)/(1 + t^2) and r sin(theta) = r 2t/(1 + t^2).  The tangent is
     NumPy's vectorized loop where sin and cos are scalar ones, about ten times
     dearer per value.  Uniforms of the word format have a >= 2^-54 and
     |pi (b - 1/2)| <= fl(pi)/2, where |t| is at most about 1.6e16, so nothing
-    overflows and no warning fires.  The one temporary is half the size of ``u``.
+    overflows and no warning fires.  The one temporary is the size of b.
     """
-    a, b = u[..., 0::2], u[..., 1::2]
     np.log(a, out=a)
     a *= -2.0
     np.sqrt(a, out=a)
@@ -115,18 +138,26 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     b *= a
     s -= 1.0  # (1 - t^2)/(1 + t^2)
     a *= s
-    return u
 
 
 def standard_normals(key: Key, word_start: int, count: int) -> np.ndarray:
-    """Normals of words [word_start, word_start + count), one per word; count is even.
+    """(2, count/2) normals of count words: the cosines in row 0, the sines in row 1.
 
-    Words word_start + 2k and word_start + 2k + 1 are the pair of _box_muller
-    that gives normals 2k and 2k + 1.
+    Pair k takes its radius from word word_start + k and its angle from word
+    ANGLE_WORDS + word_start + k of the node, for k < count/2: two contiguous
+    word ranges, so every pass of _box_muller is a contiguous loop.  Row 0
+    holds the pairs' r cos(theta), row 1 their r sin(theta).
     """
     if count % 2:
         raise ValueError(f"Box-Muller normals come in pairs; {count} words is odd")
-    return _box_muller(uniforms(key, word_start, count))
+    pairs = count // 2
+    z = np.empty((2, pairs))
+    rng = generator(key, word_start)
+    _fill_uniforms(rng, z[0])
+    rng.bit_generator.advance(ANGLE_WORDS - pairs)
+    _fill_uniforms(rng, z[1])
+    _box_muller(z[0], z[1])
+    return z
 
 
 def _halfint_layout(alpha: Sequence[float]) -> tuple[list[int], list[int]]:
@@ -183,7 +214,8 @@ def halfint_gamma_matrix(key: Key, start_sample: int, count: int,
     if cols:
         out[:, cols] = np.negative(logs, out=logs)
     if halves:
-        z = _box_muller(u[:, n_exp:])[:, :len(halves)]
+        _box_muller(u[:, n_exp::2], u[:, n_exp + 1::2])
+        z = u[:, n_exp:n_exp + len(halves)]
         np.square(z, out=z)
         z *= 0.5
         out[:, halves] += z

@@ -36,6 +36,10 @@ plain signed deviation of the base tier.
 Every tier reduces its samples chunk by chunk, in the thread that drew each
 chunk, and merges the chunks in index order (_estimates); no tier holds more
 than a chunk of values.  Raw sample arrays take the same path (estimate_moments).
+The chunk grid holds whole Haar sample pairs, the samples 2m and 2m + 1 that
+share one set of Box-Muller pairs (ensembles.state_blocks), except that the
+last chunk of an odd M draws its last pair whole and measures one sample of it;
+the values, and so the reports, do not depend on ``workers``.
 """
 
 from __future__ import annotations

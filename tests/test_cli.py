@@ -344,9 +344,9 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
 
     monkeypatch.setattr(streams, "standard_normals", counting)
     reports = cli.run_campaign(cfg)
-    # M spans three chunks: stream (0, 0) is drawn once, chunk by chunk, for all four orders
-    n_dim = cfg.spectrum.dimension
-    chunk_words = streams.CHUNK_SAMPLES * (n_dim + n_dim % 2)
+    # M spans three chunks: stream (0, 0) is drawn once, chunk by chunk, for all four orders;
+    # a chunk's CHUNK_SAMPLES / 2 sample pairs read N radius words each
+    chunk_words = streams.CHUNK_SAMPLES // 2 * cfg.spectrum.dimension
     key = streams.stream_key(cfg.ensemble.seed, 0, 0)
     assert sorted(calls) == [(key, w) for w in (0, chunk_words, 2 * chunk_words)]
 
@@ -464,9 +464,9 @@ def test_mub_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
 
     monkeypatch.setattr(streams, "standard_normals", counting)
     reports = cli.run_campaign(cfg)
-    # M spans two chunks: each (u, p) stream is drawn once, chunk by chunk
-    n_dim = cfg.spectrum.dimension
-    chunk_words = streams.CHUNK_SAMPLES * (n_dim + n_dim % 2)
+    # M spans two chunks: each (u, p) stream is drawn once, chunk by chunk; a
+    # chunk's CHUNK_SAMPLES / 2 sample pairs read N radius words each
+    chunk_words = streams.CHUNK_SAMPLES // 2 * cfg.spectrum.dimension
     expected = {(streams.stream_key(cfg.ensemble.seed, u, p), w)
                 for u in range(cfg.m_u) for p in range(cfg.m_perm) for w in (0, chunk_words)}
     assert len(calls) == len(expected)
@@ -656,7 +656,7 @@ PINNED_CAMPAIGNS = {
                              {"eigenvalues": [0, 1, 2], "multiplicities": [2, 2, 1]}),
 }
 PINNED_SAMPLING_DIGESTS = {
-    "haar": "1e779fe1bf240da9",
+    "haar": "7310644339913b8d",
     "counterexample": "928d615c66e025f1",
     "fixed_basis_state": "123086e1e6883fbd",
     "dirichlet_amplitudes": "f57e140fb6c5bda8",
@@ -1311,3 +1311,82 @@ def test_observable_tier_bytes_equal_the_array_and_file_paths(tmp_path, workers)
                                       provenance={"seed": cfg.ensemble.seed}).to_json_dict()
                    for t in cfg.orders]
         assert json.dumps(reports, sort_keys=True) == tier
+
+
+@pytest.fixture
+def no_stream(monkeypatch):
+    """Fail any attempt to build a stream generator: checks must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was drawn before the input was checked")
+
+    monkeypatch.setattr(streams, "generator", refuse)
+
+
+@pytest.mark.parametrize("overrides, problem", [
+    ({"budgets": {"M": 2**64}}, "budget M must be in 2..2^32, got 18446744073709551616"),
+    ({"budgets": {"M": 2**32 + 1}}, "budget M must be in 2..2^32, got 4294967297"),
+    ({"budgets": {"M": 100, "M_perm": 2**64}}, "budget M_perm must be in 1..4096"),
+    ({"budgets": {"M": 100, "M_u": 4097}}, "budget M_u must be in 1..4096, got 4097"),
+    ({"t": [10**400]}, "t orders must be at most 256, got 1000"),
+    ({"t": [1, 257]}, "t orders must be at most 256, got 257"),
+    # orders inside the cap whose moment leaves double range
+    ({"t": [1, 40], "spectrum": {"eigenvalues": [0, 1e10], "multiplicities": [1, 2]}},
+     "moment of order 40 exceeds double-precision range"),
+    ({"t": [1], "spectrum": {"eigenvalues": [0, 1e200], "multiplicities": [1, 2]}},
+     "of order 1 exceeds double-precision range"),
+])
+def test_verify_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no_stream,
+                                                           overrides, problem):
+    cfg = _campaign(tmp_path, **{"budgets": {"M": 100, "M_perm": 2, "M_u": 2}, **overrides})
+    assert main(["verify", "--config", cfg]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("ensemble, m_samples, problem", [
+    ({"kind": "haar", "N": 2, "seed": 1}, 2**64,
+     "M = 18446744073709551616 samples outside 1..2^32"),
+    ({"kind": "haar", "N": 2, "seed": 1}, 0, "M = 0 samples outside 1..2^32"),
+    ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [1e308, 0.5]}}, 4,
+     "alpha: shapes summing to 1e+308 would draw"),
+    ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [2**64, 0.5]}}, 4,
+     "alpha: shapes summing to 1.8446744073709552e+19 would draw"),
+    ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [2**20, 0.5]}}, 4,
+     "would draw 1048578 words per sample, above 2^20"),
+])
+def test_generate_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no_stream,
+                                                             ensemble, m_samples, problem):
+    out = tmp_path / "samples.csv"
+    assert main(["generate", "--ensemble", write_json(tmp_path, "e.json", ensemble),
+                 "--spectrum", write_json(tmp_path, "s.json", QUBIT),
+                 "-M", str(m_samples), "--out", str(out)]) == EXIT_INPUT
+    assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dirichlet_shapes_at_the_word_cap_are_accepted():
+    # 2^20 - 1 exponential words and one Box-Muller pair: 2^20 words per sample
+    spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=2, seed=1,
+                        params={"alpha": [2**20 - 1.5, 0.5]})
+    assert streams.halfint_gamma_words(spec.params["alpha"]) == streams.MAX_SAMPLE_WORDS
+
+
+@pytest.mark.parametrize("orders", ["1..10000000000", "1..257", "-10000000000..2"])
+def test_moments_order_range_is_checked_before_it_is_listed(tmp_path, capsys, orders):
+    spectrum = write_json(tmp_path, "s.json", QUBIT)
+    assert main(["moments", "--spectrum", spectrum, f"--t={orders}"]) == EXIT_INPUT
+    assert "t orders must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tiers", [["observable"], ["permutation", "mub"]])
+def test_haar_reports_are_equal_at_one_and_two_workers_with_an_odd_budget(tmp_path, monkeypatch,
+                                                                        tiers):
+    # chunks of 300 samples: the last chunk of M = 1001 holds one sample of a pair
+    monkeypatch.setattr(streams, "CHUNK_SAMPLES", 300)
+    path = _campaign(tmp_path, spectrum={"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 2]},
+                     ensemble={"kind": "haar", "N": 5, "seed": 49}, tiers=tiers, t=[1, 2],
+                     budgets={"M": 1001, "M_perm": 2, "M_u": 2}, seed=49)
+    one, two = (json.dumps(cli.run_campaign(load_campaign(path, workers_override=w)),
+                           sort_keys=True) for w in (1, 2))
+    assert one == two

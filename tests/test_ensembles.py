@@ -253,10 +253,10 @@ def test_rotated_expectations_match_the_complex_product(monkeypatch, kind, n_dim
     m = 700
     if kind == "haar":
         spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=400 + n_dim)
-        # W = N + (N mod 2) words per state, the last normal dropped for odd N
-        words = n_dim + n_dim % 2
-        z = streams.standard_normals(streams.stream_key(spec.seed, 1, 2), 0, m * words)
-        z = z.reshape(m, words)[:, :n_dim]
+        # the cosines of m/2 Box-Muller pair blocks are the even states, their sines the odd
+        z = np.empty((m, n_dim))
+        z[0::2], z[1::2] = streams.standard_normals(streams.stream_key(spec.seed, 1, 2), 0,
+                                                    m * n_dim).reshape(2, m // 2, n_dim)
         amps = z / np.linalg.norm(z, axis=1, keepdims=True)
     else:
         spec = EnsembleSpec(kind="counterexample", dimension=4, seed=402, params={"n": 2})

@@ -6,6 +6,7 @@ from scipy.stats import kstest, norm, pearsonr
 
 from haar_sentinel import streams
 from haar_sentinel.ensembles import EnsembleSpec, counterexample_alphas, state_blocks
+from haar_sentinel.spectrum import MAX_DIMENSION
 from oracles import raw_words
 
 
@@ -80,15 +81,23 @@ def test_keys_refuse_seeds_outside_64_bits(seed):
     assert streams.stream_key(2**64 - 1, 2, 3) == (2**64 - 1, 2, 3)
 
 
-def test_normals_are_the_box_muller_pairs_of_consecutive_words():
+def _word_uniforms(key, word_start, count):
+    """The README word format ((w >> 11) + 1/2) 2^-53 of raw words, by NumPy alone."""
+    return ((raw_words(key, word_start, count) >> np.uint64(11)).astype(np.float64) + 0.5) \
+        * 2.0**-53
+
+
+def test_normals_are_the_box_muller_pairs_of_the_radius_and_angle_ranges():
     key = streams.stream_key(20261020, 1, 2)
-    count = 100_000
-    u = ((raw_words(key, 6, count) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    theta = 2.0 * np.pi * (u[1::2] - 0.5)
-    z = streams.standard_normals(key, 6, count)
-    assert np.allclose(z[0::2], r * np.cos(theta), rtol=1e-12, atol=1e-12)
-    assert np.allclose(z[1::2], r * np.sin(theta), rtol=1e-12, atol=1e-12)
+    pairs = 50_000
+    a = _word_uniforms(key, 6, pairs)
+    b = _word_uniforms(key, 2**64 + 6, pairs)
+    r = np.sqrt(-2.0 * np.log(a))
+    theta = 2.0 * np.pi * (b - 0.5)
+    z = streams.standard_normals(key, 6, 2 * pairs)
+    assert z.shape == (2, pairs) and streams.ANGLE_WORDS == 2**64
+    assert np.allclose(z[0], r * np.cos(theta), rtol=1e-12, atol=1e-12)
+    assert np.allclose(z[1], r * np.sin(theta), rtol=1e-12, atol=1e-12)
 
 
 def test_normals_come_in_pairs():
@@ -97,12 +106,33 @@ def test_normals_come_in_pairs():
 
 
 def test_both_pair_positions_are_standard_normal_and_their_squares_uncorrelated():
-    z = streams.standard_normals(streams.stream_key(20261020), 0, 800_000)
-    first, second = z[0::2], z[1::2]
-    p_values = [kstest(first, norm.cdf).pvalue, kstest(second, norm.cdf).pvalue]
+    # amplitude k of the cosine sample 2m and of the sine sample 2m + 1
+    _, states = state_blocks(EnsembleSpec(kind="haar", dimension=5, seed=20261020), (0, 0), True)
+    z = states(0, 160_000)
+    cosines, sines = z[0::2].ravel(), z[1::2].ravel()
+    p_values = [kstest(cosines, norm.cdf).pvalue, kstest(sines, norm.cdf).pvalue]
     # r cos and r sin share r: uncorrelated, and independent only because r^2 is chi^2_2
-    p_values.append(pearsonr(first**2, second**2).pvalue)
+    p_values.append(pearsonr(cosines**2, sines**2).pvalue)
     assert min(p_values) > 0.01 / len(p_values), p_values
+
+
+@pytest.mark.parametrize("n_dim", [2, 8, 61])
+@pytest.mark.parametrize("m", [0, 1, 2999])
+def test_haar_sample_pairs_are_redrawn_by_numpy_alone(n_dim, m):
+    # samples 2m and 2m + 1 share the pairs of radius words [mN, (m + 1)N) and
+    # angle words 2^64 + [mN, (m + 1)N): the cosine of pair k is amplitude k of
+    # sample 2m, its sine amplitude k of sample 2m + 1
+    spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=20261020)
+    key = streams.stream_key(spec.seed, 3, 1)
+    a = _word_uniforms(key, m * n_dim, n_dim)
+    b = _word_uniforms(key, 2**64 + m * n_dim, n_dim)
+    r = np.sqrt(-2.0 * np.log(a))
+    t = np.tan(np.pi * (b - 0.5))
+    expected = np.stack([r * (1 - t**2) / (1 + t**2), r * 2 * t / (1 + t**2)])
+    _, states = state_blocks(spec, (3, 1), rotated=True)
+    assert np.allclose(states(2 * m, 2), expected, rtol=1e-12, atol=1e-12)
+    _, masses = state_blocks(spec, (3, 1))
+    assert np.allclose(masses(2 * m, 2), expected**2, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha, words", [
@@ -146,15 +176,29 @@ def test_halfint_gamma_columns_follow_their_gamma_laws(alpha):
 
 @pytest.mark.parametrize("rotated", [False, True])
 def test_odd_dimension_states_are_rows_of_one_large_call(rotated):
-    # N = 61 reads W = 62 words per state: per-sample addressing must survive the padding
+    # N = 61 reads 61 radius and 61 angle words per sample pair, no spare word
     _, states = state_blocks(EnsembleSpec(kind="haar", dimension=61, seed=61), (1, 0), rotated)
     whole = states(0, 3000)
     for s0, count in ((0, 1), (1, 5), (7, 300), (2999, 1)):
         assert states(s0, count).tobytes() == whole[s0:s0 + count].tobytes()
-    # rows are the draw itself, unnormalised: the first 61 of each state's 62 normals
-    z = streams.standard_normals(streams.stream_key(61, 1, 0), 0, 3000 * 62).reshape(3000, 62)
-    raw = z[:, :61] if rotated else np.square(z[:, :61])
-    assert whole.tobytes() == raw.tobytes()
+    # rows are the draw itself, unnormalised: the cosines of the 1500 pairs are
+    # the even samples, their sines the odd ones
+    z = streams.standard_normals(streams.stream_key(61, 1, 0), 0, 3000 * 61).reshape(2, 1500, 61)
+    raw = z if rotated else np.square(z)
+    assert whole[0::2].tobytes() == raw[0].tobytes()
+    assert whole[1::2].tobytes() == raw[1].tobytes()
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("n_dim", [2, 8, 60])
+def test_even_dimension_states_are_rows_of_one_large_call(n_dim, rotated):
+    # blocks at an odd start or of an odd count draw a spare sample of their end pairs
+    spec = EnsembleSpec(kind="haar", dimension=n_dim, seed=n_dim)
+    _, states = state_blocks(spec, (2, 3), rotated)
+    whole = states(0, 1001)
+    assert whole.shape == (1001, n_dim)
+    for s0, count in ((0, 1), (1, 1), (1, 2), (3, 8), (4, 7), (5, 996), (1000, 1)):
+        assert states(s0, count).tobytes() == whole[s0:s0 + count].tobytes()
 
 
 @pytest.mark.parametrize("alpha", [(40.5, 100.0, 1.0, 2.5), (18.0, 19.0, 36.0, 37.0),
@@ -166,7 +210,8 @@ def test_halfint_gamma_run_products_match_a_sum_of_logs(alpha):
     count, words = 20_000, streams.halfint_gamma_words(alpha)
     u = streams.uniforms(key, 5 * words, count * words).reshape(count, words)
     n_exp = sum(int(a) for a in alpha)
-    z = streams._box_muller(u[:, n_exp:].copy())
+    z = u[:, n_exp:].copy()
+    streams._box_muller(z[:, 0::2], z[:, 1::2])
     reference, col, half = np.zeros((count, len(alpha))), 0, 0
     for j, a in enumerate(alpha):
         m = int(a)
@@ -206,3 +251,8 @@ def test_a_uniform_of_one_gives_finite_general_gammas(monkeypatch):
     g = states(0, 5)
     masses = g / g.sum(axis=1, keepdims=True)
     assert np.all(np.isfinite(masses))
+
+
+def test_radius_words_of_every_admissible_haar_budget_lie_below_the_angle_range():
+    pairs = -(-streams.MAX_SAMPLES // 2)
+    assert pairs * MAX_DIMENSION < streams.ANGLE_WORDS
