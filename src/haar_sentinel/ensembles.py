@@ -93,13 +93,9 @@ class EnsembleSpec:
             for a in alpha:
                 if not (isfinite(require_real(a, "alpha")) and a > 0):
                     raise ValueError(f"alpha entry {a} is not a positive real")
-            try:
-                words = streams.halfint_gamma_words(alpha)
-            except ValueError:  # the general path: one word per shape
-                words = len(alpha)
-            if words > streams.MAX_SAMPLE_WORDS:
-                raise ValueError(f"alpha: shapes summing to {sum(alpha)!r} would draw {words} "
-                                 f"words per sample, above 2^20")
+            if sum(alpha) > streams.MAX_SHAPE_SUM:
+                raise ValueError(f"alpha: shapes summing to {sum(alpha)!r} would draw gammas "
+                                 f"past the cap sum(alpha) <= 2^20")
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind, "N": self.dimension, "seed": self.seed}
@@ -221,14 +217,9 @@ def _drawn_blocks(
     else:
         support = slice(None)
         alpha = tuple(float(x) for x in spec.params["alpha"])
-    try:
-        streams.halfint_gamma_words(alpha)
-        gamma_matrix = streams.halfint_gamma_matrix
-    except ValueError:
-        gamma_matrix = streams.general_gamma_matrix
 
     def rows(s0, c):
-        g = gamma_matrix(key, s0, c, alpha)
+        g = streams.gamma_matrix(key, s0, c, alpha)
         return np.sqrt(g, out=g) if rotated else g
 
     return support, rows, _as_drawn
@@ -255,13 +246,14 @@ def state_blocks(
     unnormalised real amplitudes when ``rotated``: the state is the row
     divided by its sum (plain) or by its Euclidean norm (rotated), which
     probe_blocks does as the denominator of a ratio.  ``stream`` is the
-    (basis index, permutation index) node of the seed tree; sample i draws
-    from a fixed word range of that node's stream (see streams).  Haar
-    samples 2m and 2m + 1 share N Box-Muller pairs, the pairs of radius words
-    [mN, (m + 1)N) and angle words ANGLE_WORDS + [mN, (m + 1)N): amplitude k
-    of sample 2m is the cosine normal z of pair k, amplitude k of sample
-    2m + 1 its sine normal, and a Haar row is z^2, or z rotated.  A Dirichlet
-    state's row is its gammas g, or sqrt(g) rotated.  So a state is the same
+    (basis index, permutation index) node of the seed tree (see streams).
+    Haar samples 2m and 2m + 1 share N Box-Muller pairs, the pairs of radius
+    words [mN, (m + 1)N) and angle words ANGLE_WORDS + [mN, (m + 1)N) of the
+    node: amplitude k of sample 2m is the cosine normal z of pair k,
+    amplitude k of sample 2m + 1 its sine normal, and a Haar row is z^2, or z
+    rotated.  A Dirichlet state's row is its gammas g, or sqrt(g) rotated,
+    row i mod CHUNK_SAMPLES of its chunk's streams.gamma_matrix draw, from
+    the node's child of that chunk index.  So a state is the same
     state whether it is measured rotated or not.  probe_blocks measures the
     rows in the order they are drawn and puts only the values in sample order.
     """

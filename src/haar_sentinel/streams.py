@@ -1,32 +1,38 @@
-"""Seeded random streams with per-sample addressing.
+"""Seeded random streams with per-sample-pair and per-chunk addressing.
 
 Reproducibility contract: the seed tree is NumPy's SeedSequence spawn tree.
-Word w of node (u, p) of seed ``seed`` is output w, reached by advance(w), of
+Word w of node ``node`` of seed ``seed`` is output w, reached by advance(w), of
 
-    PCG64DXSM(SeedSequence(seed, spawn_key=(u, p))),
+    PCG64DXSM(SeedSequence(seed, spawn_key=node)),
 
 where SeedSequence(seed, spawn_key=(u, p)) is
-SeedSequence(seed).spawn(u + 1)[u].spawn(p + 1)[p].  Every Monte Carlo sample
-owns a fixed range of words of one node's stream, so NumPy alone redraws it,
-any contiguous block of samples is one vectorized call, and the bits never
-depend on chunking, scheduling, or worker count.
+SeedSequence(seed).spawn(u + 1)[u].spawn(p + 1)[p], and a longer key spawns
+one level further per entry.  A sample node is (u, p).  Its samples are read
+in one of two layouts, so that NumPy alone redraws them, any contiguous block
+of samples is one vectorized call per chunk at most, and the bits never
+depend on chunking, scheduling, or worker count:
 
-All transforms applied to those words consume a fixed number of words per
-sample, which is what keeps the per-sample word ranges static.  Standard
-normals come from the Box-Muller transform (Box and Muller, Ann. Math. Stat.
-29, 610 (1958)), written with the half-angle tangent: a pair of uniforms
-(a, b), a radius word and an angle word, gives the two normals r cos(theta)
-and r sin(theta).  Haar states read their radius words from the start of a
-node's stream and their angle words from ANGLE_WORDS on, so that the
-transform runs on two contiguous arrays; the cosine normals of a pair block
-are one sample and its sine normals the next (ensembles.state_blocks).
-Gamma variates with half-integer shape are sums of exact unit exponentials
-and halves of squared Box-Muller normals, from pairs of consecutive words;
-the m exponentials of a Gamma(m) are -log of products of runs of at most RUN
-uniforms, one log per run instead of one per word.  The bits therefore
-depend on NumPy's dispatched float64 ``log`` and ``tan`` as well as on the
-words: one NumPy build on one CPU family always gives the same values,
-another may differ in the last bits.
+- Per sample pair (Haar).  Standard normals come from the Box-Muller
+  transform (Box and Muller, Ann. Math. Stat. 29, 610 (1958)), written with
+  the half-angle tangent: a pair of uniforms (a, b), a radius word and an
+  angle word, gives the two normals r cos(theta) and r sin(theta).  Haar
+  states read their radius words from the start of the node's stream and
+  their angle words from ANGLE_WORDS on, so that the transform runs on two
+  contiguous arrays; the cosine normals of a pair block are one sample and
+  its sine normals the next (ensembles.state_blocks).
+- Per chunk (Dirichlet kinds).  Chunk k of the CHUNK_SAMPLES grid of node
+  (u, p) is node (u, p, k), and its samples are the rows of one
+  Generator.standard_gamma draw on that node's stream (gamma_matrix): the
+  sampler of Marsaglia and Tsang (ACM TOMS 26, 363 (2000)), exact in law for
+  every shape at O(1) words per variate.  It reads a variable number of
+  words, so a sample has no fixed word range, and CHUNK_SAMPLES is part of
+  this layout.
+
+The bits therefore depend on NumPy's dispatched float64 ``log`` and ``tan``,
+and on its ``standard_gamma``, as well as on the words: one NumPy build on
+one CPU family always gives the same values, another may differ in the last
+bits, and NumPy's RNG policy (NEP 19) lets a later version change
+``standard_gamma``'s draws.
 """
 
 from __future__ import annotations
@@ -40,12 +46,6 @@ from numpy.random import PCG64DXSM, Generator, SeedSequence
 T = TypeVar("T")
 Key = tuple[int, ...]
 
-# scipy.special is imported by general_gamma_matrix alone, on first use: the
-# import takes about 0.2 s and 17 MiB of resident memory on a 2-core x86-64
-# machine (scipy's array-API shim runs ``from numpy import *``, which loads
-# numpy.f2py and numpy.testing), and only Dirichlet shapes that are not
-# half-integers need its inverse incomplete gamma function.
-
 CHUNK_SAMPLES = 8192
 
 # Samples one stream may serve (a campaign's M, generate -M): the radius words
@@ -53,17 +53,14 @@ CHUNK_SAMPLES = 8192
 # ANGLE_WORDS, and their chunk grid holds 2^19 jobs.
 MAX_SAMPLES = 2**32
 
-# Words one Dirichlet sample may read: room for N = 2^20 shapes of 1/2, and
-# for the counterexample at n = 20 (2^19 + 2 words).
-MAX_SAMPLE_WORDS = 2**20
+# Largest sum of the shapes of one Dirichlet sample: its gammas and their row
+# sum stay finite, and the counterexample at n = 20 (shapes summing to 2^19)
+# fits.
+MAX_SHAPE_SUM = 2**20
 
 # Word offset of a node's Box-Muller angle words: the pair whose radius is
 # word w takes its angle from word ANGLE_WORDS + w of the same node.
 ANGLE_WORDS = 2**64
-
-# Uniforms per product in halfint_gamma_matrix: each is at least 2^-54, so a
-# product of RUN = 18 is at least 2^-972, a normal double, and never underflows.
-RUN = 18
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -75,8 +72,9 @@ def check_seed(seed: int, name: str = "seed") -> None:
 def stream_key(seed: int, *node: int) -> Key:
     """The key (seed, *node) of one node of the seed tree; the one identity of its stream.
 
-    A sample node is (basis index, permutation index); sample index is
-    resolved below by advancing the stream, not via the key.
+    A sample node is (basis index, permutation index).  A Haar sample is
+    found by advancing its node's stream; a Dirichlet-kind sample by its
+    chunk, the node's child (basis index, permutation index, chunk index).
     """
     check_seed(seed)
     return (seed, *node)
@@ -100,8 +98,8 @@ def uniforms(key: Key, word_start: int, count: int) -> np.ndarray:
     formula.  Above 1/2 the spacing of doubles is 2^-53, so every word with
     w >> 11 >= 2^52 rounds, and two of them land on the ends of that range:
     w >> 11 = 2^52 gives exactly 1/2, and the top word (w >> 11 = 2^53 - 1)
-    gives exactly 1.0.  -log u and Box-Muller take 1.0 without harm; a caller
-    that cannot must clamp it.
+    gives exactly 1.0.  Box-Muller takes 1.0 without harm; a caller that
+    cannot must clamp it.
     """
     return _fill_uniforms(generator(key, word_start), np.empty(count))
 
@@ -160,82 +158,28 @@ def standard_normals(key: Key, word_start: int, count: int) -> np.ndarray:
     return z
 
 
-def _halfint_layout(alpha: Sequence[float]) -> tuple[list[int], list[int]]:
-    """(exponential words per column, columns with a Gamma(1/2) part) of a half-integer alpha."""
-    whole, halves = [], []
-    for j, a in enumerate(alpha):
-        m = int(a)
-        if a - m not in (0.0, 0.5) or a <= 0:
-            raise ValueError(f"shape {a} is not a positive half-integer")
-        whole.append(m)
-        if a - m == 0.5:
-            halves.append(j)
-    return whole, halves
+def gamma_matrix(key: Key, start_sample: int, count: int,
+                 alpha: Sequence[float]) -> np.ndarray:
+    """(count, len(alpha)) Gamma(alpha_j, 1) variates of samples start_sample.., by chunk node.
 
-
-def halfint_gamma_words(alpha: Sequence[float]) -> int:
-    """Words consumed per sample by halfint_gamma_matrix for this alpha."""
-    whole, halves = _halfint_layout(alpha)
-    return sum(whole) + len(halves) + len(halves) % 2
-
-
-def halfint_gamma_matrix(key: Key, start_sample: int, count: int,
-                         alpha: Sequence[float]) -> np.ndarray:
-    """(count, len(alpha)) exact Gamma(alpha_j, 1) variates, fixed word budget.
-
-    Gamma(m) is a sum of m unit exponentials; Gamma(1/2) is half a squared
-    standard normal; Gamma(m + 1/2) is their independent sum.  A sample's
-    words are first int(a_j) exponential words per column j, column by
-    column, then one Box-Muller normal per half-integer column, h of them in
-    h + (h mod 2) words: halfint_gamma_words(alpha) in all.  A column's m
-    exponentials are -log of the products of its words in runs of at most
-    RUN, summed over the runs: one log per run, and a column with m = 1 is
-    exactly -log u.
+    Chunk k holds samples [kC, (k + 1)C), C = CHUNK_SAMPLES, and its rows are
+    generator(key + (k,)).standard_gamma(alpha, size=(C, len(alpha))).  The
+    draw fills rows in order, so a block that starts inside a chunk draws
+    the chunk's prefix and drops its first rows, and a block that crosses a
+    chunk edge joins the parts of each chunk it covers.
     """
-    whole, halves = _halfint_layout(alpha)
-    n_exp = sum(whole)
-    words_per = halfint_gamma_words(alpha)
-    u = uniforms(key, start_sample * words_per, count * words_per).reshape(count, words_per)
-    cols = [j for j, m in enumerate(whole) if m]
-    if cols:
-        runs, firsts, word = [], [], 0
-        for j in cols:
-            firsts.append(len(runs))
-            runs.extend(range(word, word + whole[j], RUN))
-            word += whole[j]
-        logs = np.multiply.reduceat(u[:, :n_exp], runs, axis=1)
-        np.log(logs, out=logs)
-        if len(runs) > len(cols):
-            logs = np.add.reduceat(logs, firsts, axis=1)
-    # allocated after the run products are freed: allocated before them, it
-    # let the heap grow by 128 KiB about every 200 counterexample campaigns
-    # (n = 8, M = 2,500, 17 calls each), against once in 400 this way
-    out = np.zeros((count, len(alpha)))
-    if cols:
-        out[:, cols] = np.negative(logs, out=logs)
-    if halves:
-        _box_muller(u[:, n_exp::2], u[:, n_exp + 1::2])
-        z = u[:, n_exp:n_exp + len(halves)]
-        np.square(z, out=z)
-        z *= 0.5
-        out[:, halves] += z
-    return out
+    shapes = np.asarray(alpha, dtype=float)
+    stop = start_sample + count
+    parts = []
+    for k in range(start_sample // CHUNK_SAMPLES, -(-stop // CHUNK_SAMPLES)):
+        first = k * CHUNK_SAMPLES
+        skip = max(start_sample - first, 0)
+        rows = min(stop - first, CHUNK_SAMPLES)
+        parts.append(generator((*key, k)).standard_gamma(shapes, (rows, len(shapes)))[skip:])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def general_gamma_matrix(key: Key, start_sample: int, count: int,
-                         alpha: Sequence[float]) -> np.ndarray:
-    """Gamma variates for arbitrary positive shapes via inverse lower-gamma.
-
-    One word per variate; slower than the half-integer path but exact in
-    distribution for any alpha.  The top word's uniform 1.0 is clamped to
-    1 - 2^-53, where gammaincinv is finite.
-    """
-    from scipy.special import gammaincinv
-
-    d = len(alpha)
-    u = uniforms(key, start_sample * d, count * d).reshape(count, d)
-    np.minimum(u, 1.0 - 2.0**-53, out=u)
-    return gammaincinv(np.asarray(alpha, dtype=float), u)
+halfint_gamma_matrix = gamma_matrix  # perfbench/spans.py traces it under this name; nothing calls it
 
 
 def chunked_samples(total: int, compute: Callable[[int, int], T],

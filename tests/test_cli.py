@@ -24,7 +24,7 @@ from haar_sentinel.cli import (
     load_campaign,
     main,
 )
-from haar_sentinel.ensembles import EnsembleSpec, natural_assignment
+from haar_sentinel.ensembles import EnsembleSpec, natural_assignment, state_blocks
 from haar_sentinel.haar_moments import exact_moment, sampling_error_bound
 from haar_sentinel.mub import mub_basis, mub_complete_set
 from haar_sentinel.spectrum import Permutation, Spectrum, apply_permutation, number_operator
@@ -421,14 +421,14 @@ def test_permutation_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
         seed=43,
     )
     cfg = load_campaign(path)
-    gamma = streams.halfint_gamma_matrix
+    gamma = streams.gamma_matrix
     calls = []
 
     def counting(key, start_sample, count, alpha):
         calls.append((key, start_sample))
         return gamma(key, start_sample, count, alpha)
 
-    monkeypatch.setattr(streams, "halfint_gamma_matrix", counting)
+    monkeypatch.setattr(streams, "gamma_matrix", counting)
     reports = cli.run_campaign(cfg)
     # one draw for the observable tier (stream (0, 0)) plus one per permutation
     # stream (0, p), not one per order
@@ -436,7 +436,7 @@ def test_permutation_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
     assert len(calls) == 1 + cfg.m_perm
     assert sorted(calls) == sorted([(key(0), 0)] + [(key(p), 0) for p in range(cfg.m_perm)])
 
-    monkeypatch.setattr(streams, "halfint_gamma_matrix", gamma)
+    monkeypatch.setattr(streams, "gamma_matrix", gamma)
     assert [(r["t"], r["tier"]) for r in reports] == [
         (1, "observable"), (1, "permutation"), (2, "observable"), (2, "permutation")]
     assert json.dumps(reports[1::2], sort_keys=True) == \
@@ -657,9 +657,9 @@ PINNED_CAMPAIGNS = {
 }
 PINNED_SAMPLING_DIGESTS = {
     "haar": "7310644339913b8d",
-    "counterexample": "928d615c66e025f1",
+    "counterexample": "8c9ea4edf0b45d96",
     "fixed_basis_state": "123086e1e6883fbd",
-    "dirichlet_amplitudes": "f57e140fb6c5bda8",
+    "dirichlet_amplitudes": "604e6a293a712702",
 }
 
 
@@ -1191,11 +1191,10 @@ print(json.dumps([done.returncode,
 
 
 def test_commands_that_never_sample_never_import_scipy(tmp_path):
-    """Nor do Haar and counterexample campaigns: only non-half-integer Dirichlet shapes need it.
+    """Nor does any campaign: scipy is a test dependency only.
 
-    Box-Muller normals and exponentials draw both half-integer gamma families
-    with NumPy alone; scipy's inverse incomplete gamma function serves
-    general_gamma_matrix only.
+    Box-Muller normals draw Haar states, and NumPy's standard_gamma draws
+    every Dirichlet shape, half-integer or not.
     """
     spectrum = write_json(tmp_path, "spectrum.json", NUMBER_OP_3)
     haar = write_json(tmp_path, "haar.json", {
@@ -1230,7 +1229,28 @@ print(json.dumps(loaded))
     assert codes[:2] == (EXIT_OK, EXIT_OK)
     # each campaign ran to its verdicts, whichever they are
     assert set(codes[2:]) <= {EXIT_OK, EXIT_INCOMPATIBLE, EXIT_INCONCLUSIVE}
-    assert loaded == (False, False, False, False, True)
+    assert loaded == (False, False, False, False, False)
+
+
+def test_counterexample_at_twenty_qubits_runs_in_bounded_memory(tmp_path):
+    # shapes C(20, k)/2 sum to 2^19: a word per exponential would be 2^19 words
+    # per sample, about 10 GB of uniforms per unit at M = 2500
+    campaign = _campaign(
+        tmp_path,
+        spectrum=number_operator(20).to_json_dict(),
+        ensemble={"kind": "counterexample", "n": 20, "seed": 5},
+        tiers=["observable", "permutation"],
+        t=[1],
+        budgets={"M": 2500, "M_perm": 4},
+        seed=5,
+    )
+    out = tmp_path / "report.json"
+    exit_code, peak_mib = _verify_peak_rss(campaign, tmp_path, str(out))
+    # whichever the verdicts: at this budget the permutation tier is not always caught
+    assert exit_code in (EXIT_OK, EXIT_INCOMPATIBLE, EXIT_INCONCLUSIVE)
+    assert [r["tier"] for r in json.loads(out.read_text())["reports"]] == \
+        ["observable", "permutation"]
+    assert peak_mib < 160
 
 
 def test_mub_tier_runs_at_a_large_prime_dimension(tmp_path):
@@ -1313,6 +1333,18 @@ def test_observable_tier_bytes_equal_the_array_and_file_paths(tmp_path, workers)
         assert json.dumps(reports, sort_keys=True) == tier
 
 
+def test_dirichlet_reports_are_equal_at_one_and_two_workers(tmp_path):
+    # M = 20,000 spans three chunks, each drawn from its own chunk node
+    path = _campaign(tmp_path, spectrum={"eigenvalues": [0, 1, 2], "multiplicities": [1, 2, 2]},
+                     ensemble={"kind": "dirichlet_amplitudes", "N": 5, "seed": 50,
+                               "params": {"alpha": [0.3, 1.0, 2.25, 0.5, 7.0]}},
+                     tiers=["observable", "permutation", "mub"], t=[1, 2],
+                     budgets={"M": 20_000, "M_perm": 2, "M_u": 2}, seed=50)
+    one, two = (json.dumps(cli.run_campaign(load_campaign(path, workers_override=w)),
+                           sort_keys=True) for w in (1, 2))
+    assert one == two
+
+
 @pytest.fixture
 def no_stream(monkeypatch):
     """Fail any attempt to build a stream generator: checks must come first."""
@@ -1353,7 +1385,7 @@ def test_verify_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no
     ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [2**64, 0.5]}}, 4,
      "alpha: shapes summing to 1.8446744073709552e+19 would draw"),
     ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [2**20, 0.5]}}, 4,
-     "would draw 1048578 words per sample, above 2^20"),
+     "alpha: shapes summing to 1048576.5 would draw gammas past the cap sum(alpha) <= 2^20"),
 ])
 def test_generate_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no_stream,
                                                              ensemble, m_samples, problem):
@@ -1366,10 +1398,14 @@ def test_generate_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, 
 
 
 def test_dirichlet_shapes_at_the_word_cap_are_accepted():
-    # 2^20 - 1 exponential words and one Box-Muller pair: 2^20 words per sample
-    spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=2, seed=1,
-                        params={"alpha": [2**20 - 1.5, 0.5]})
-    assert streams.halfint_gamma_words(spec.params["alpha"]) == streams.MAX_SAMPLE_WORDS
+    # the cap is on the shapes' sum, 2^20, where it once was 2^20 words per sample
+    assert streams.MAX_SHAPE_SUM == 2**20
+    for alpha in ([2**20 - 1.5, 0.5], [2**20 - 0.5, 0.5]):
+        spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=2, seed=1,
+                            params={"alpha": alpha})
+        _, states = state_blocks(spec)
+        g = states(0, 100)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(g.sum(axis=1)))
 
 
 @pytest.mark.parametrize("orders", ["1..10000000000", "1..257", "-10000000000..2"])

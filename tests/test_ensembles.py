@@ -260,8 +260,8 @@ def test_rotated_expectations_match_the_complex_product(monkeypatch, kind, n_dim
         amps = z / np.linalg.norm(z, axis=1, keepdims=True)
     else:
         spec = EnsembleSpec(kind="counterexample", dimension=4, seed=402, params={"n": 2})
-        g = streams.halfint_gamma_matrix(streams.stream_key(spec.seed, 1, 2), 0, m,
-                                         counterexample_alphas(2))
+        g = streams.gamma_matrix(streams.stream_key(spec.seed, 1, 2), 0, m,
+                                 counterexample_alphas(2))
         amps = np.zeros((m, 4))
         amps[:, counterexample_support(2)] = np.sqrt(g / g.sum(axis=1, keepdims=True))
     diag = np.random.default_rng(n_dim + index).permutation(np.linspace(0.0, 3.0, n_dim))

@@ -65,12 +65,35 @@ def test_sample_uniforms_are_redrawn_by_numpy_alone(seed, node, start):
     assert u.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("seed,node,chunk", [(0, (0, 0), 0), (2**63 + 11, (61, 15), 2)])
+@pytest.mark.parametrize("alpha", [counterexample_alphas(8), (0.3, 2.25, 1.0, 40.5)],
+                         ids=["counterexample", "general"])
+def test_dirichlet_chunks_are_redrawn_by_numpy_alone(seed, node, chunk, alpha):
+    # chunk k of node (u, p) is the rows of one standard_gamma draw on node (u, p, k)
+    bits = PCG64DXSM(SeedSequence(seed, spawn_key=(*node, chunk)))
+    expected = Generator(bits).standard_gamma(alpha, size=(streams.CHUNK_SAMPLES, len(alpha)))
+    start = chunk * streams.CHUNK_SAMPLES
+    g = streams.gamma_matrix(streams.stream_key(seed, *node), start, streams.CHUNK_SAMPLES, alpha)
+    assert g.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("s0,count", [(0, 1), (1, 5), (7, 300), (2999, 1)])
 def test_halfint_gamma_rows_are_rows_of_one_large_call(s0, count):
     alpha = counterexample_alphas(8)
     key = streams.stream_key(9102, 0, 4)
-    whole = streams.halfint_gamma_matrix(key, 0, 3000, alpha)
-    part = streams.halfint_gamma_matrix(key, s0, count, alpha)
+    whole = streams.gamma_matrix(key, 0, 3000, alpha)
+    part = streams.gamma_matrix(key, s0, count, alpha)
+    assert part.tobytes() == whole[s0:s0 + count].tobytes()
+
+
+@pytest.mark.parametrize("s0,count", [(8191, 2), (8000, 500), (16383, 3)])
+@pytest.mark.parametrize("alpha", [counterexample_alphas(8), (0.3, 2.25, 1.0, 40.5)],
+                         ids=["counterexample", "general"])
+def test_gamma_rows_across_chunk_edges_are_rows_of_one_large_call(alpha, s0, count):
+    key = streams.stream_key(9102, 1, 4)
+    whole = streams.gamma_matrix(key, 0, 3 * streams.CHUNK_SAMPLES, alpha)
+    part = streams.gamma_matrix(key, s0, count, alpha)
+    assert part.shape == (count, len(alpha))
     assert part.tobytes() == whole[s0:s0 + count].tobytes()
 
 
@@ -135,42 +158,20 @@ def test_haar_sample_pairs_are_redrawn_by_numpy_alone(n_dim, m):
     assert np.allclose(masses(2 * m, 2), expected**2, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("alpha, words", [
-    ((0.5,), 2), ((0.5, 0.5), 2), ((1.5, 2.0, 0.5), 5), ((1.0, 3.0), 4),
-    (counterexample_alphas(8), 127 + 2), (counterexample_alphas(3), 2 + 4),
-])
-def test_halfint_gamma_words_pad_an_odd_number_of_halves(alpha, words):
-    assert streams.halfint_gamma_words(alpha) == words
-
-
-@pytest.mark.parametrize("alpha", [(0.5, 0.5, 0.5), (2.0, 1.5, 3.5), (1.0, 3.0), (1.5, 0.5, 2.5)])
-def test_halfint_gamma_words_are_exponentials_then_box_muller_pairs(alpha):
-    # column j: -log of its int(a_j) words, in column order, plus z^2/2 of the
-    # normal of its rank among the half-integer columns, read after every exponential
-    key = streams.stream_key(20261020, 5, 1)
-    count, words = 500, streams.halfint_gamma_words(alpha)
-    u = streams.uniforms(key, 3 * words, count * words).reshape(count, words)
-    n_exp = sum(int(a) for a in alpha)
-    r = np.sqrt(-2.0 * np.log(u[:, n_exp::2]))
-    theta = 2.0 * np.pi * (u[:, n_exp + 1::2] - 0.5)
-    z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(count, -1)
-    reference, col, half = np.zeros((count, len(alpha))), 0, 0
-    for j, a in enumerate(alpha):
-        m = int(a)
-        reference[:, j] = -np.log(u[:, col:col + m]).sum(axis=1)
-        col += m
-        if a - m:
-            reference[:, j] += 0.5 * z[:, half] ** 2
-            half += 1
-    g = streams.halfint_gamma_matrix(key, 3, count, alpha)
-    assert np.allclose(g, reference, rtol=1e-12, atol=1e-14)
+def _gamma_law_p_values(alpha):
+    g = streams.gamma_matrix(streams.stream_key(20261020, 0, len(alpha)), 0, 200_000, alpha)
+    return [kstest(g[:, j], gamma_dist(a).cdf).pvalue for j, a in enumerate(alpha)]
 
 
 @pytest.mark.parametrize("alpha", [(0.5, 0.5, 0.5), (1.5, 0.5), (2.5, 1.0, 0.5, 3.5)])
 def test_halfint_gamma_columns_follow_their_gamma_laws(alpha):
-    g = streams.halfint_gamma_matrix(streams.stream_key(20261020, 0, len(alpha)), 0, 200_000,
-                                     alpha)
-    p_values = [kstest(g[:, j], gamma_dist(a).cdf).pvalue for j, a in enumerate(alpha)]
+    p_values = _gamma_law_p_values(alpha)
+    assert min(p_values) > 0.01 / len(p_values), p_values
+
+
+@pytest.mark.parametrize("alpha", [(0.3, 2.25), (0.05, 1.7, 7.3, 64.9)])
+def test_general_gamma_columns_follow_their_gamma_laws(alpha):
+    p_values = _gamma_law_p_values(alpha)
     assert min(p_values) > 0.01 / len(p_values), p_values
 
 
@@ -199,58 +200,6 @@ def test_even_dimension_states_are_rows_of_one_large_call(n_dim, rotated):
     assert whole.shape == (1001, n_dim)
     for s0, count in ((0, 1), (1, 1), (1, 2), (3, 8), (4, 7), (5, 996), (1000, 1)):
         assert states(s0, count).tobytes() == whole[s0:s0 + count].tobytes()
-
-
-@pytest.mark.parametrize("alpha", [(40.5, 100.0, 1.0, 2.5), (18.0, 19.0, 36.0, 37.0),
-                                   counterexample_alphas(8)])
-def test_halfint_gamma_run_products_match_a_sum_of_logs(alpha):
-    # one log per run of up to RUN words against one log per word; 40.5 and 100
-    # hold more than 2 RUN words, so their columns sum three runs or more
-    key = streams.stream_key(20261021, 2, 3)
-    count, words = 20_000, streams.halfint_gamma_words(alpha)
-    u = streams.uniforms(key, 5 * words, count * words).reshape(count, words)
-    n_exp = sum(int(a) for a in alpha)
-    z = u[:, n_exp:].copy()
-    streams._box_muller(z[:, 0::2], z[:, 1::2])
-    reference, col, half = np.zeros((count, len(alpha))), 0, 0
-    for j, a in enumerate(alpha):
-        m = int(a)
-        reference[:, j] = -np.log(u[:, col:col + m]).sum(axis=1)
-        col += m
-        if a - m:
-            reference[:, j] += 0.5 * z[:, half] ** 2
-            half += 1
-    g = streams.halfint_gamma_matrix(key, 5, count, alpha)
-    assert np.all(np.abs(g - reference) <= 4e-15 * reference)
-
-
-def test_a_one_word_column_is_exactly_minus_log_u():
-    alpha = (1.0, 40.0, 1.0)
-    key = streams.stream_key(20261021, 0, 1)
-    u = streams.uniforms(key, 0, 300 * 42).reshape(300, 42)
-    g = streams.halfint_gamma_matrix(key, 0, 300, alpha)
-    assert g[:, 0].tobytes() == (-np.log(u[:, 0])).tobytes()
-    assert g[:, 2].tobytes() == (-np.log(u[:, 41])).tobytes()
-
-
-def test_words_at_the_smallest_uniform_give_finite_gammas(monkeypatch):
-    # every uniform is at least 2^-54, so a run of RUN = 18 multiplies to at least 2^-972
-    monkeypatch.setattr(streams, "uniforms", lambda key, start, count: np.full(count, 2.0**-54))
-    alpha = (1.0, 17.0, 18.0, 19.0, 36.0, 100.0)
-    g = streams.halfint_gamma_matrix(streams.stream_key(1), 0, 10, alpha)
-    assert np.all(np.isfinite(g))
-    assert np.allclose(g, np.array(alpha) * 54 * np.log(2.0), rtol=1e-15, atol=0)
-
-
-def test_a_uniform_of_one_gives_finite_general_gammas(monkeypatch):
-    # the top word rounds to u = 1.0, where gammaincinv is infinite
-    monkeypatch.setattr(streams, "uniforms", lambda key, start, count: np.ones(count))
-    spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=3, seed=1,
-                        params={"alpha": [0.3, 0.7, 2.2]})
-    _, states = state_blocks(spec)
-    g = states(0, 5)
-    masses = g / g.sum(axis=1, keepdims=True)
-    assert np.all(np.isfinite(masses))
 
 
 def test_radius_words_of_every_admissible_haar_budget_lie_below_the_angle_range():
