@@ -93,9 +93,11 @@ class EnsembleSpec:
             for a in alpha:
                 if not (isfinite(require_real(a, "alpha")) and a > 0):
                     raise ValueError(f"alpha entry {a} is not a positive real")
-            if sum(alpha) > streams.MAX_SHAPE_SUM:
-                raise ValueError(f"alpha: shapes summing to {sum(alpha)!r} would draw gammas "
-                                 f"past the cap sum(alpha) <= 2^20")
+            total = sum(alpha)
+            if total > streams.MAX_SHAPE_SUM:
+                # a sample's gammas sum to one Gamma(sum(alpha)) variate
+                raise ValueError(f"alpha: shapes summing to {total!r} would draw {total!r}-shape "
+                                 f"row sums, past the cap sum(alpha) <= 2^20")
 
     def to_json_dict(self) -> dict:
         d = {"kind": self.kind, "N": self.dimension, "seed": self.seed}

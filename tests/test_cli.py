@@ -1385,7 +1385,7 @@ def test_verify_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no
     ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [2**64, 0.5]}}, 4,
      "alpha: shapes summing to 1.8446744073709552e+19 would draw"),
     ({"kind": "dirichlet_amplitudes", "N": 2, "seed": 1, "params": {"alpha": [2**20, 0.5]}}, 4,
-     "alpha: shapes summing to 1048576.5 would draw gammas past the cap sum(alpha) <= 2^20"),
+     "would draw 1048576.5-shape row sums, past the cap sum(alpha) <= 2^20"),
 ])
 def test_generate_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no_stream,
                                                              ensemble, m_samples, problem):

@@ -202,6 +202,54 @@ def test_even_dimension_states_are_rows_of_one_large_call(n_dim, rotated):
         assert states(s0, count).tobytes() == whole[s0:s0 + count].tobytes()
 
 
+def _pcg_bits(state, inc):
+    bits = PCG64DXSM(0)
+    bits.state = {"bit_generator": "PCG64DXSM", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
+def _state_whose_next_word_is(word):
+    # PCG64DXSM outputs DXSM(hi, lo) of its current state; at lo = 1 the output
+    # is hi ^= hi >> 32, hi *= 0xda942042e4dd58b5, hi ^= hi >> 48, each undone here
+    hi = word ^ (word >> 48)
+    hi = hi * pow(0xda942042e4dd58b5, -1, 2**64) % 2**64
+    hi ^= hi >> 32
+    return hi << 64 | 1
+
+
+def test_words_at_the_smallest_uniform_give_finite_gammas(monkeypatch):
+    # state 0 with increment 0 stays 0 and outputs word 0, the smallest uniform,
+    # forever: Marsaglia-Tsang's normal and uniform are then 0, so it accepts its
+    # first candidate d = a - 1/3, and shape 1 (an exponential) gives 0
+    monkeypatch.setattr(streams, "generator",
+                        lambda key, word_start=0: Generator(_pcg_bits(0, 0)))
+    alpha = (1.0, 17.0, 18.0, 19.0, 36.0, 100.0)
+    g = streams.gamma_matrix(streams.stream_key(1), 0, 10, alpha)
+    assert np.all(np.isfinite(g))
+    expected = np.array(alpha) - 1 / 3
+    expected[0] = 0.0
+    assert np.allclose(g, expected, rtol=1e-15, atol=0)
+
+
+def test_a_uniform_of_one_gives_finite_general_gammas(monkeypatch):
+    # every chunk opens on the top word, which streams.uniforms maps to 1.0:
+    # standard_gamma reads it as U = 1 - 2^-53 in its shape < 1 branch, where the
+    # candidate (1 - a + a Y)^(1/a), Y = -log((1 - U)/a), is largest
+    top, inc = _state_whose_next_word_is(2**64 - 1), 2 * 20261021 + 1
+    assert _pcg_bits(top, inc).random_raw() == 2**64 - 1
+    monkeypatch.setattr(streams, "generator",
+                        lambda key, word_start=0: Generator(_pcg_bits(top, inc)))
+    spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=3, seed=1,
+                        params={"alpha": [0.3, 0.7, 2.2]})
+    _, states = state_blocks(spec)
+    g = states(0, 5)
+    expected = Generator(_pcg_bits(top, inc)).standard_gamma((0.3, 0.7, 2.2), (5, 3))
+    assert g.tobytes() == expected.tobytes()
+    masses = g / g.sum(axis=1, keepdims=True)
+    assert np.all(np.isfinite(masses))
+
+
 def test_radius_words_of_every_admissible_haar_budget_lie_below_the_angle_range():
     pairs = -(-streams.MAX_SAMPLES // 2)
     assert pairs * MAX_DIMENSION < streams.ANGLE_WORDS
