@@ -10,7 +10,7 @@ Usage: python scripts/moment_table.py [n] [t_max] [epsilon]
 
 import sys
 
-from haar_sentinel.haar_moments import exact_moment, moment_bounds, required_samples
+from haar_sentinel.haar_moments import exact_moments, moment_bounds, required_samples
 from haar_sentinel.spectrum import number_operator, trace
 
 
@@ -23,9 +23,10 @@ def main(argv):
     print(f"{n}-qubit excitation counter: N = {s.dimension}, Tr O = {trace(s):g}, "
           f"Tr O / N = {s.mean:g}")
     print(f"{'t':>3}  {'exact':>14}  {'lower':>12}  {'upper':>14}  {'M(eps=%g)' % epsilon:>14}")
-    for t in range(1, t_max + 1):
+    for mv in exact_moments(s, range(1, t_max + 1)):
+        t = mv.t
         b = moment_bounds(s, t)
-        print(f"{t:>3}  {exact_moment(s, t).value:14.8g}  {b.lower:12.6g}  {b.upper:14.6g}  "
+        print(f"{t:>3}  {mv.value:14.8g}  {b.lower:12.6g}  {b.upper:14.6g}  "
               f"{required_samples(s, t, epsilon):>14,}")
 
 

@@ -11,6 +11,7 @@ from .haar_moments import (
     MomentBounds,
     MomentValue,
     exact_moment,
+    exact_moments,
     haar_variance,
     moment_bounds,
     required_samples,
@@ -63,6 +64,7 @@ __all__ = [
     "check_mub",
     "estimate_moment",
     "exact_moment",
+    "exact_moments",
     "expand",
     "generate_expectation_samples",
     "haar_variance",

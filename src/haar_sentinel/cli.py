@@ -25,7 +25,12 @@ from typing import Optional, Sequence
 
 from . import __version__, streams
 from .ensembles import EnsembleSpec, generate_expectation_samples, natural_assignment
-from .haar_moments import exact_moment, moment_bounds, required_samples
+from .haar_moments import (
+    exact_moment,  # noqa: F401 -- perfbench/spans.py traces it under this module
+    exact_moments,
+    moment_bounds,
+    required_samples,
+)
 from .mub import UNBIASED_TOL, MubSet, UnsupportedDimensionError, mub_complete_set
 from .spectrum import Spectrum, check_keys, require_int, require_real, require_str
 from .verify import (
@@ -46,7 +51,7 @@ EXIT_INCONCLUSIVE = 11
 
 # Caps on the counts a campaign or a flag may ask for, checked before any word
 # is drawn; streams.MAX_SAMPLES caps M and generate -M.  An order takes O(t^2)
-# steps of exact_moment's recurrence, and a unit holds one permutation of N
+# steps of exact_moments' recurrence, and a unit holds one permutation of N
 # entries, drawn before the first unit samples.
 MAX_ORDER = 256
 MAX_UNITS = 4096
@@ -102,8 +107,9 @@ class CampaignConfig:
                              '"samples" (a samples file)')
         if self.samples_path is not None and set(self.tiers) != {"observable"}:
             raise ValueError("pre-generated samples support the observable tier only")
-        for t in self.orders:  # an order beyond double range exits before any word is drawn
-            exact_moment(self.spectrum, t)
+        # an order beyond double range exits before any word is drawn
+        exact_moments(self.spectrum, self.orders)
+        for t in self.orders:
             required_samples(self.spectrum, t, self.epsilon)
 
 
@@ -245,14 +251,13 @@ def exit_code_for(verdicts: Sequence[str]) -> int:
 def _cmd_moments(args) -> int:
     s = _load_spectrum(args.spectrum)
     orders = _parse_orders(args.t)
-    rows = []
-    for t in orders:
-        if args.mode == "exact":
-            mv = exact_moment(s, t)
-            rows.append({"t": t, "method": "exact", "value": mv.value})
-        else:
-            b = moment_bounds(s, t)
-            rows.append({"t": t, "method": "bounds", "lower": b.lower, "upper": b.upper})
+    if args.mode == "exact":
+        rows = [{"t": mv.t, "method": "exact", "value": mv.value}
+                for mv in exact_moments(s, orders)]
+    else:
+        bounds = [moment_bounds(s, t) for t in orders]
+        rows = [{"t": b.t, "method": "bounds", "lower": b.lower, "upper": b.upper}
+                for b in bounds]
     header = f"{'t':>3}  {'method':<8}  value"
     print(header)
     for row in rows:

@@ -94,6 +94,10 @@ class EnsembleSpec:
                 if not (isfinite(require_real(a, "alpha")) and a > 0):
                     raise ValueError(f"alpha entry {a} is not a positive real")
             total = sum(alpha)
+            if total < streams.MIN_SHAPE_SUM:
+                raise ValueError(f"alpha: shapes summing to {total!r} fall below the floor "
+                                 f"sum(alpha) >= 1/16, under which a sample's gammas may all "
+                                 f"underflow to 0")
             if total > streams.MAX_SHAPE_SUM:
                 # a sample's gammas sum to one Gamma(sum(alpha)) variate
                 raise ValueError(f"alpha: shapes summing to {total!r} would draw {total!r}-shape "

@@ -14,8 +14,17 @@ logarithmic derivative of that product gives the recurrence
 
 which costs O(G t + t^2) and adds only positive terms, so nothing cancels.
 The gamma ratio is formed in log space (it overflows double precision around
-N ~ 350 if formed directly), and the recurrence runs on rescaled eigenvalues
-so that h_t stays in range for every N <= 2^20.  The bounds below are
+N ~ 350 if formed directly), and the recurrence runs on eigenvalues divided
+by lambda_max and by 2^shift, shift = ceil(-log_prefactor / (t log 2)), so
+that h_t stays in range for every N <= 2^20.
+
+The recurrence computes every lower order on its way to h_t.  So
+exact_moments groups the requested orders by their shift and runs the power
+sums and the recurrence once per group, up to the group's largest order: at
+N = 2^12, orders 2..3 share shift 11 and orders 4..8 shift 10, so t = 1..8
+takes two passes.  An order's value depends only on its shift, its prefactor
+and p_1 .. p_t, never on the rest of its group, so it has the same bits
+whichever orders are asked for with it.  The bounds below are
 Jensen's and the convexity bound; the sample budgets are the paper's cheap
 estimates.
 """
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, exp, fsum, inf, isfinite, lgamma, log
+from operator import mul
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,35 +90,69 @@ def exact_moment(s: Spectrum, t: int) -> MomentValue:
 
     Raises ValueError when the moment lies beyond double-precision range.
     """
+    return exact_moments(s, (t,))[0]
+
+
+def exact_moments(s: Spectrum, orders: Sequence[int]) -> list[MomentValue]:
+    """Exact moments of the given orders, in the order asked for.
+
+    Orders that share a scaling shift share one pass of the power sums and
+    of the recurrence, up to the largest of them, so each value has the bits
+    of a call for its order alone.  Raises ValueError for the first order,
+    in request order, that is negative or whose moment lies beyond
+    double-precision range.
+    """
+    orders = tuple(orders)
+    half_n = s.dimension / 2.0
+    scaling = {}  # order -> (shift, log_prefactor), for orders the recurrence serves
+    tops = {}  # shift -> largest order of its group
+    for t in orders:
+        if t >= 2 and s.levels > 1 and t not in scaling:
+            log_prefactor = lgamma(t + 1) + lgamma(half_n) - lgamma(half_n + t)
+            # Unscaled, h_t grows like C(N/2+t-1, t) = exp(-log_prefactor).
+            # Dividing the eigenvalues by a power of two at least its t-th
+            # root keeps h_t <= 1 and every h_k below exp(t/e); powers of two
+            # scale without rounding.
+            shift = ceil(-log_prefactor / (t * LOG2))
+            scaling[t] = shift, log_prefactor
+            tops[shift] = max(tops.get(shift, 0), t)
+    h = {shift: _complete_sums(s, shift, top) for shift, top in tops.items()}
+    return [_moment(s, t, scaling.get(t), h) for t in orders]
+
+
+def _moment(s: Spectrum, t: int, scaling: Optional[tuple[int, float]],
+            h: dict[int, list[float]]) -> MomentValue:
+    """The order-t moment from its group's h_t, or from a closed form when scaling is None."""
     if t < 0:
         raise ValueError("order must be non-negative")
     if t == 0:
         return MomentValue(t=0, value=1.0)
-    if t == 1 or s.levels == 1:
-        # E <psi|O|psi> = Tr O / N, and O = lambda I gives lambda^t: closed
-        # forms that the recurrence below reproduces only up to rounding
+    if scaling is None:
+        # t = 1 or a one-level spectrum: E <psi|O|psi> = Tr O / N, and
+        # O = lambda I gives lambda^t, closed forms that the recurrence
+        # reproduces only up to rounding
         return MomentValue(t=t, value=_in_range(t, lambda: s.mean**t, "moment"))
-    lam_max = s.max_eigenvalue
+    shift, log_prefactor = scaling
+    h_t = h[shift][t]
+    if h_t == 0.0:
+        return MomentValue(t=t, value=0.0)
+    log_value = log_prefactor + t * (log(s.max_eigenvalue) + shift * LOG2) + log(h_t)
+    return MomentValue(t=t, value=_in_range(t, lambda: exp(log_value), "moment"))
 
-    half_n = s.dimension / 2.0
-    log_prefactor = lgamma(t + 1) + lgamma(half_n) - lgamma(half_n + t)
-    # Unscaled, h_t grows like C(N/2+t-1, t) = exp(-log_prefactor).  Dividing
-    # the eigenvalues by a power of two at least its t-th root keeps h_t <= 1
-    # and every h_k below exp(t/e); powers of two scale without rounding.
-    shift = ceil(-log_prefactor / (t * LOG2))
-    scaled = np.asarray(s.eigenvalues, dtype=float) / lam_max * 2.0**-shift
+
+def _complete_sums(s: Spectrum, shift: int, top: int) -> list[float]:
+    """h_0 .. h_top of the eigenvalues divided by lambda_max and by 2^shift."""
+    scaled = np.asarray(s.eigenvalues, dtype=float) / s.max_eigenvalue * 2.0**-shift
     weighted = np.asarray(s.multiplicities, dtype=float) / 2.0
-    power_sums = [0.0]
-    for _ in range(t):
+    power_sums = []  # p_1 .. p_top
+    for _ in range(top):
         weighted = weighted * scaled
         power_sums.append(float(weighted.sum()))
     h = [1.0]
-    for k in range(1, t + 1):
-        h.append(fsum(power_sums[j] * h[k - j] for j in range(1, k + 1)) / k)
-    if h[t] == 0.0:
-        return MomentValue(t=t, value=0.0)
-    log_value = log_prefactor + t * (log(lam_max) + shift * LOG2) + log(h[t])
-    return MomentValue(t=t, value=_in_range(t, lambda: exp(log_value), "moment"))
+    for k in range(1, top + 1):
+        # h_k = (1/k) sum_j p_j h_{k-j}; fsum rounds the exact sum once
+        h.append(fsum(map(mul, power_sums[:k], reversed(h))) / k)
+    return h
 
 
 def _in_range(t: int, compute, what: str = "estimate") -> float:
@@ -157,8 +202,7 @@ def haar_variance(s: Spectrum, t: int) -> float:
 
     Analytically non-negative; tiny negative rounding residue is clamped.
     """
-    m2t = exact_moment(s, 2 * t).value
-    mt = exact_moment(s, t).value
+    m2t, mt = (mv.value for mv in exact_moments(s, (2 * t, t)))
     return max(m2t - mt * mt, 0.0)
 
 

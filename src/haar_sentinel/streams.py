@@ -58,6 +58,12 @@ MAX_SAMPLES = 2**32
 # fits.
 MAX_SHAPE_SUM = 2**20
 
+# Smallest sum of the shapes of one Dirichlet sample.  A Gamma(a) variate
+# underflows to 0 with probability about 2^(-1075 a), so a whole row of
+# gammas sums to 0, and its masses are 0/0, with probability about
+# 2^(-1075 sum(alpha)): below 2^-67 at this floor.
+MIN_SHAPE_SUM = 1 / 16
+
 # Word offset of a node's Box-Muller angle words: the pair whose radius is
 # word w takes its angle from word ANGLE_WORDS + w of the same node.
 ANGLE_WORDS = 2**64

@@ -60,6 +60,7 @@ from .ensembles import (
 )
 from .haar_moments import (
     exact_moment,
+    exact_moments,
     moment_bounds,  # noqa: F401 -- perfbench/spans.py traces it under this module
     required_samples,
     sampling_error_bound,
@@ -320,8 +321,8 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
     prov["permutations"] = [sha256(perm.mapping.tobytes()).hexdigest()[:12] for perm in perms]
     means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
     reports = []
-    for t, unit_means in zip(orders, map(list, zip(*means))):
-        mu = exact_moment(s, t).value
+    for mv, unit_means in zip(exact_moments(s, orders), map(list, zip(*means))):
+        t, mu = mv.t, mv.value
         reports.append(RandomnessReport(
             tier=tier, t=t, R=_signed_rms(np.asarray(unit_means) - mu),
             delta=sampling_error_bound(s, t, n_units * m_samples), epsilon=epsilon,

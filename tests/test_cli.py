@@ -5,8 +5,10 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +88,24 @@ def test_moments_exact_at_large_dimension_and_order(tmp_path, capsys):
     assert main(["moments", "--spectrum", path, "--t", "12"]) == EXIT_OK
     value = float(capsys.readouterr().out.splitlines()[1].split()[-1])
     assert value == pytest.approx(exact_moment(s, 12).value, rel=1e-11)
+
+
+@pytest.mark.parametrize("mode", ["exact", "bounds"])
+def test_moments_table_rows_equal_one_order_runs_byte_for_byte(tmp_path, capsys, mode):
+    # one exact_moments call serves all eight orders in two shift groups
+    s = number_operator(12).to_json_dict()
+    path = write_json(tmp_path, "s.json", s)
+    table = tmp_path / "table.json"
+    assert main(["moments", "--spectrum", path, "--t", "1..8", "--mode", mode,
+                 "--out", str(table)]) == EXIT_OK
+    rows = []
+    for t in range(1, 9):
+        one = tmp_path / f"t{t}.json"
+        assert main(["moments", "--spectrum", path, "--t", str(t), "--mode", mode,
+                     "--out", str(one)]) == EXIT_OK
+        rows += json.loads(one.read_text())["moments"]
+    capsys.readouterr()
+    assert table.read_text() == json.dumps({"spectrum": s, "moments": rows}, indent=2) + "\n"
 
 
 def test_moments_overflow_is_bad_input(tmp_path, capsys):
@@ -1366,6 +1386,11 @@ def no_stream(monkeypatch):
      "moment of order 40 exceeds double-precision range"),
     ({"t": [1], "spectrum": {"eigenvalues": [0, 1e200], "multiplicities": [1, 2]}},
      "of order 1 exceeds double-precision range"),
+    # about a quarter of these gamma rows are all 0, and their masses 0/0 once
+    # made verify exit 2 naming an order-1 overflow
+    ({"spectrum": QUBIT, "ensemble": {"kind": "dirichlet_amplitudes", "N": 2, "seed": 3,
+                                      "params": {"alpha": [0.001, 0.001]}}},
+     "shapes summing to 0.002 fall below the floor sum(alpha) >= 1/16"),
 ])
 def test_verify_bounds_every_count_before_any_word_is_drawn(tmp_path, capsys, no_stream,
                                                            overrides, problem):
@@ -1406,6 +1431,45 @@ def test_dirichlet_shapes_at_the_word_cap_are_accepted():
         _, states = state_blocks(spec)
         g = states(0, 100)
         assert np.all(np.isfinite(g)) and np.all(np.isfinite(g.sum(axis=1)))
+
+
+def test_dirichlet_shapes_just_above_the_floor_are_accepted(tmp_path, capsys):
+    assert streams.MIN_SHAPE_SUM == 1 / 16
+    spec = EnsembleSpec(kind="dirichlet_amplitudes", dimension=2, seed=3,
+                        params={"alpha": [0.04, 0.03]})
+    _, states = state_blocks(spec)
+    assert np.all(states(0, streams.CHUNK_SAMPLES).sum(axis=1) > 0)
+    cfg = _campaign(tmp_path, spectrum=QUBIT, tiers=["observable"],
+                    ensemble=spec.to_json_dict(), budgets={"M": 2 * streams.CHUNK_SAMPLES})
+    assert main(["verify", "--config", cfg]) in (EXIT_OK, EXIT_INCOMPATIBLE, EXIT_INCONCLUSIVE)
+    assert "R=" in capsys.readouterr().out
+
+
+def _limit_address_space():
+    """Run in the child only: 1.5 GiB of address space, where 2^64 chunk jobs cannot fit."""
+    limit = 3 * 2**29
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"budgets": {"M": 2**64}},
+    {"t": [10**400]},
+    {"spectrum": QUBIT, "ensemble": {"kind": "dirichlet_amplitudes", "N": 2, "seed": 1,
+                                     "params": {"alpha": [1e308, 0.5]}}},
+])
+def test_over_cap_configs_exit_2_within_a_second_in_1_5_gib(tmp_path, overrides):
+    cfg = _campaign(tmp_path, **overrides)
+    # one BLAS thread: OpenBLAS reserves buffers per thread, which on a many-core
+    # host could fill the limit before the config is read
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC), OPENBLAS_NUM_THREADS="1")
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "haar_sentinel.cli", "verify", "--config", cfg],
+                          env=env, preexec_fn=_limit_address_space, capture_output=True,
+                          text=True, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: ") and done.stdout == ""
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("orders", ["1..10000000000", "1..257", "-10000000000..2"])

@@ -12,6 +12,7 @@ from haar_sentinel.ensembles import EnsembleSpec
 from haar_sentinel.haar_moments import (
     composition_count,
     exact_moment,
+    exact_moments,
     haar_variance,
     moment_bounds,
     required_samples,
@@ -93,6 +94,62 @@ def test_exact_moment_matches_rational_oracle():
         for t in range(1, 7):
             want = rational_moment(s, t)
             assert abs(Fraction(exact_moment(s, t).value) - want) <= 1e-12 * want, (s, t)
+
+
+def _bits(values):
+    return [(mv.t, mv.value.hex()) for mv in values]
+
+
+def _alone(s, orders):
+    """Each order's moment from a call that asks for that order only."""
+    return [exact_moments(s, (t,))[0] for t in orders]
+
+
+def test_exact_moments_do_not_depend_on_the_other_orders_asked_for():
+    rng = np.random.default_rng(2811)
+    for _ in range(150):
+        s = random_spectrum(rng)
+        # widen up to N = 378 * 2^11 < 2^20, which moves the shift groups
+        s = make_spectrum(s.eigenvalues, [m << int(rng.integers(0, 12)) for m in s.multiplicities])
+        top = int(rng.integers(1, 41))
+        shuffled = [int(t) for t in rng.permutation(np.arange(top + 1))]
+        repeated = [int(t) for t in rng.integers(0, top + 1, size=12)]
+        for orders in (list(range(1, top + 1)), shuffled, repeated, [top]):
+            assert _bits(exact_moments(s, orders)) == _bits(_alone(s, orders)), (s, orders)
+    assert exact_moments(s, []) == []
+
+
+@pytest.mark.parametrize("s", [number_operator(20),
+                               make_spectrum((1.0, 2.0), (2**19, 2**19)),
+                               make_spectrum((0.0, 1.0), (2**20 - 1, 1))])
+def test_exact_moments_at_n_2_20_match_one_order_calls_bit_for_bit(s):
+    orders = list(range(1, 257))
+    alone = _bits(_alone(s, orders))
+    assert _bits(exact_moments(s, orders)) == alone
+    assert _bits(exact_moments(s, orders[::-1])) == alone[::-1]
+
+
+def test_exact_moments_match_rational_oracle():
+    rng = np.random.default_rng(2405)
+    for _ in range(60):
+        g = int(rng.integers(2, 5))
+        lams = sorted({float(Fraction(int(rng.integers(0, 60)), int(rng.integers(1, 12))))
+                       for _ in range(g)})
+        mult = [int(m) for m in rng.integers(1, 200 // len(lams) + 1, size=len(lams))]
+        s = make_spectrum(lams, mult)
+        orders = [int(t) for t in rng.permutation(np.arange(1, 7))]
+        for mv in exact_moments(s, orders + orders[:2]):
+            want = rational_moment(s, mv.t)
+            assert abs(Fraction(mv.value) - want) <= 1e-12 * want, (s, mv.t)
+
+
+def test_exact_moments_name_the_first_failing_order_in_request_order():
+    wide = make_spectrum((1.0, 1e200), (1, 2))  # every order from 2 up overflows
+    for orders, named in (([1, 3, 2], "order 3"), ([1, 2, 3], "order 2"),
+                          ([5, -1], "order 5"), ([1, -1, 5], "non-negative")):
+        with pytest.raises(ValueError, match=named):
+            exact_moments(wide, orders)
+    assert exact_moments(wide, [1, 0])[1].value == 1.0
 
 
 def test_exact_moment_golden_values_against_quadrature():

@@ -10,6 +10,8 @@ README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "RE
 # expression of the tour -> (values its comment states, check of the computed result)
 CLAIMS = {
     "hs.exact_moment(s, 2).value": (["2.4"], lambda v: v == pytest.approx(2.4, abs=1e-12)),
+    "[mv.value for mv in hs.exact_moments(s, [1, 2, 3])]": (
+        ["1.5", "2.4", "4.05"], lambda v: v == pytest.approx([1.5, 2.4, 4.05], abs=1e-12)),
     "hs.moment_bounds(s, 4)": (["5.0625", "40.5"], lambda b: (b.lower, b.upper) == (5.0625, 40.5)),
     "hs.required_samples(s, 1, epsilon=0.01)": (["225000"], lambda n: n == 225_000),
     "report.verdict": (["'compatible'"], lambda v: v == "compatible"),
