@@ -45,8 +45,7 @@ def main(argv):
     for trial in range(trials):
         spec = EnsembleSpec(kind="counterexample", dimension=2**n,
                             seed=1000 + trial, params={"n": n})
-        [estimate] = observable_estimates(spec, s, [1], m_samples)
-        obs = average_randomness(estimate, s, epsilon)
+        [obs] = average_randomness(observable_estimates(spec, s, [1], m_samples), s, epsilon)
         [perm] = permutation_randomness(
             spec, s, [1], m_perm, m_samples, epsilon, seed=5000 + trial,
         )

@@ -6,6 +6,9 @@ next to the multiplicative bounds and the Monte Carlo sample count needed to
 resolve each order to a target precision.
 
 Usage: python scripts/moment_table.py [n] [t_max] [epsilon]
+
+Bad arguments, or an order whose moment or budget leaves double-precision
+range, end the table with "error: ..." on stderr and exit code 2.
 """
 
 import sys
@@ -31,4 +34,8 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -41,6 +41,7 @@ from .verify import (
     RandomnessReport,
     average_randomness,
     estimate_moment,
+    estimate_moments,
     load_samples,
     mub_randomness,
     observable_estimates,
@@ -63,6 +64,7 @@ __all__ = [
     "average_randomness",
     "check_mub",
     "estimate_moment",
+    "estimate_moments",
     "exact_moment",
     "exact_moments",
     "expand",

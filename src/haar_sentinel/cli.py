@@ -195,8 +195,7 @@ def _observable_reports(cfg: CampaignConfig) -> list:
         values = load_samples(cfg.samples_path, cfg.spectrum)
         estimates = estimate_moments(values, cfg.orders)
         provenance = {"samples_file": cfg.samples_path}
-    return [average_randomness(est, cfg.spectrum, cfg.epsilon, provenance=provenance)
-            for est in estimates]
+    return average_randomness(estimates, cfg.spectrum, cfg.epsilon, provenance=provenance)
 
 
 def run_campaign(cfg: CampaignConfig) -> list[dict]:

@@ -27,11 +27,11 @@ the sampling budget can support:
     delta = (Tr O / N)^t * 2t / sqrt(M_eff) * sqrt(1 + (3/8) G / min_m^2),
 
 with M_eff the total sample budget of the tier (M, M*M_perm, or
-M*M_perm*M_u).  For the extended tiers R is the signed root-mean-square of
-the per-permutation (or per-basis-and-permutation) deviations: an ensemble
-only passes when every probed conjugation, not merely their average, stays
-within budget resolution.  With a single unit this reduces exactly to the
-plain signed deviation of the base tier.
+M*M_perm*M_u).  R is the signed root-mean-square of the per-unit deviations
+from mu_t: an ensemble only passes when every probed conjugation, not merely
+their average, stays within budget resolution.  One builder (_reports) makes
+every tier's reports, with one exact_moments call; the observable tier is
+its single unit, whose R is exactly the plain signed deviation.
 
 Every tier reduces its samples chunk by chunk, in the thread that drew each
 chunk, and merges the chunks in index order (_estimates); no tier holds more
@@ -59,7 +59,7 @@ from .ensembles import (
     probe_blocks,
 )
 from .haar_moments import (
-    exact_moment,
+    exact_moment,  # noqa: F401 -- perfbench/spans.py traces it under this module
     exact_moments,
     moment_bounds,  # noqa: F401 -- perfbench/spans.py traces it under this module
     required_samples,
@@ -232,11 +232,23 @@ def estimate_moment(samples: Sequence[float], t: int) -> MomentEstimate:
 def _signed_rms(deviations: np.ndarray) -> float:
     """Root-mean-square magnitude, signed by the mean deviation.
 
-    For a single deviation this is the deviation itself, so the extended
-    tiers collapse to the base tier at unit budget.
+    Squares are taken after an exact scaling by the largest deviation's power
+    of two, so none leaves double range; a single deviation gives itself.
     """
-    rms = sqrt(float(np.mean(deviations**2)))
+    _, exponent = np.frexp(np.max(np.abs(deviations)))
+    rms = float(np.ldexp(np.sqrt(np.mean(np.ldexp(deviations, -exponent) ** 2)), exponent))
     return rms if float(np.sum(deviations)) >= 0 else -rms
+
+
+def _reports(tier: str, s: Spectrum, units: Sequence[Sequence[MomentEstimate]], epsilon: float,
+             provenance: Callable[[tuple[MomentEstimate, ...]], dict]) -> list[RandomnessReport]:
+    """One report per order from each unit's estimates of those orders: mu_haar from one
+    exact_moments call, R the units' signed RMS deviation, delta of the pooled budget."""
+    return [RandomnessReport(
+        tier=tier, t=mv.t, R=_signed_rms(np.asarray([est.mean for est in column]) - mv.value),
+        delta=sampling_error_bound(s, mv.t, sum(est.m_samples for est in column)),
+        epsilon=epsilon, mu_haar=mv.value, provenance=provenance(column),
+    ) for mv, column in zip(exact_moments(s, [est.t for est in units[0]]), zip(*units))]
 
 
 def observable_estimates(
@@ -256,24 +268,20 @@ def observable_estimates(
 
 
 def average_randomness(
-    estimate: MomentEstimate,
+    estimates: Sequence[MomentEstimate],
     s: Spectrum,
     epsilon: float,
     provenance: Optional[dict] = None,
-) -> RandomnessReport:
-    """Observable-tier report at the estimate's order: its mean vs the closed form.
+) -> list[RandomnessReport]:
+    """Observable-tier reports, one per estimate: the extended tiers' at a single unit.
 
-    The estimate comes from observable_estimates, which reduces a stream
-    where it is drawn, or from estimate_moment on raw expectation values;
-    on the same values both give the same report, bit for bit.
+    The estimates come from observable_estimates, which reduces a stream where
+    it is drawn, or from estimate_moments on raw expectation values; on the
+    same values both give the same reports, bit for bit.
     """
-    t, m = estimate.t, estimate.m_samples
-    mu = exact_moment(s, t).value
-    delta = sampling_error_bound(s, t, m)
-    prov = {"M": m, "stderr": estimate.stderr,
-            "required_samples": required_samples(s, t, epsilon), **(provenance or {})}
-    return RandomnessReport(tier="observable", t=t, R=estimate.mean - mu, delta=delta,
-                            epsilon=epsilon, mu_haar=mu, provenance=prov)
+    return _reports("observable", s, [list(estimates)], epsilon, lambda column: {
+        "M": column[0].m_samples, "stderr": column[0].stderr,
+        "required_samples": required_samples(s, column[0].t, epsilon), **(provenance or {})})
 
 
 def _protocol_rng(seed: int, tier: str) -> np.random.Generator:
@@ -310,25 +318,18 @@ def _extended_randomness(tier: str, spec: EnsembleSpec, s: Spectrum, orders: Seq
         bases = {b: mub_basis(n_dim, b) for b in set(picks)}
     perms = [Permutation(rng.permutation(n_dim)) for _ in range(n_units)]
     base = natural_assignment(spec, s)
-    means = []  # per unit, one mean per order
+    units = []  # per unit, one estimate per order
     for i, perm in enumerate(perms):
         u, p = divmod(i, m_perm)
         block = probe_blocks(spec, apply_permutation(base, perm), bases[picks[u]], (u, p))
-        means.append([est.mean for est in _estimates(m_samples, block, orders, workers)])
+        units.append(_estimates(m_samples, block, orders, workers))
     prov = {"seed": spec.seed, "campaign_seed": seed, "M": m_samples, "M_perm": m_perm}
     if tier == "mub":
         prov.update(M_u=m_u, basis_indices=picks, basis_labels=[bases[b].label for b in picks])
     prov["permutations"] = [sha256(perm.mapping.tobytes()).hexdigest()[:12] for perm in perms]
     means_key = "per_perm_means" if tier == "permutation" else "per_unit_means"
-    reports = []
-    for mv, unit_means in zip(exact_moments(s, orders), map(list, zip(*means))):
-        t, mu = mv.t, mv.value
-        reports.append(RandomnessReport(
-            tier=tier, t=t, R=_signed_rms(np.asarray(unit_means) - mu),
-            delta=sampling_error_bound(s, t, n_units * m_samples), epsilon=epsilon,
-            mu_haar=mu, provenance={**prov, means_key: unit_means},
-        ))
-    return reports
+    return _reports(tier, s, units, epsilon,
+                    lambda column: {**prov, means_key: [est.mean for est in column]})
 
 
 def permutation_randomness(

@@ -27,7 +27,7 @@ from haar_sentinel.spectrum import (
     number_operator,
     trace,
 )
-from haar_sentinel.verify import average_randomness, estimate_moment, permutation_randomness
+from haar_sentinel.verify import average_randomness, estimate_moments, permutation_randomness
 from oracles import generate_probe_samples, random_spectrum
 
 THREE_QUBIT_COUNTER = make_spectrum((0, 1, 2, 3), (1, 3, 3, 1))
@@ -116,7 +116,7 @@ def test_criterion_06_counterexample_separation():
         samples = generate_expectation_samples(
             spec, natural_assignment(spec, s), None, m_samples
         )
-        obs = average_randomness(estimate_moment(samples, 1), s, epsilon)
+        [obs] = average_randomness(estimate_moments(samples, [1]), s, epsilon)
         observable_compatible += obs.verdict == "compatible"
         [perm] = permutation_randomness(
             spec, s, [1], m_perm, m_samples, epsilon, seed=70_000 + trial,

@@ -374,13 +374,13 @@ def test_observable_samples_generated_once_per_campaign(tmp_path, monkeypatch):
     monkeypatch.setattr(streams, "standard_normals", normals)
     assignment = natural_assignment(cfg.ensemble, cfg.spectrum)
     reference = [
-        average_randomness(
-            estimate_moment(cli.generate_expectation_samples(
+        report.to_json_dict() for t in cfg.orders
+        for report in average_randomness(
+            [estimate_moment(cli.generate_expectation_samples(
                 cfg.ensemble, assignment, None, cfg.m_samples, stream=(0, 0),
-                workers=cfg.workers), t),
+                workers=cfg.workers), t)],
             cfg.spectrum, cfg.epsilon, provenance={"seed": cfg.ensemble.seed},
-        ).to_json_dict()
-        for t in cfg.orders
+        )
     ]
     assert [r["t"] for r in reports] == [1, 2, 3, 4]
     assert json.dumps(reports, sort_keys=True) == json.dumps(reference, sort_keys=True)
@@ -428,6 +428,20 @@ def _per_tier_reference(cfg, tier):
                         means_key: means},
         ).to_json_dict())
     return reports
+
+
+def test_each_tier_takes_every_order_from_one_moment_pass(tmp_path, monkeypatch):
+    cfg = load_campaign(_campaign(tmp_path, t=[1, 2, 3, 4], budgets={"M": 100, "M_perm": 2,
+                                                                       "M_u": 2}))
+    # the config's own order check calls cli.exact_moments, which is not counted here
+    calls = {"exact_moments": 0, "exact_moment": 0}
+    for name in calls:
+        def counting(*args, _name=name, _wrapped=getattr(verify, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+        monkeypatch.setattr(verify, name, counting)
+    cli.run_campaign(cfg)
+    assert calls == {"exact_moments": 3, "exact_moment": 0}
 
 
 def test_permutation_streams_drawn_once_per_campaign(tmp_path, monkeypatch):
@@ -1307,6 +1321,18 @@ def test_experiment_scripts_run(tmp_path, script, args):
     assert done.stdout
 
 
+def test_moment_table_script_exits_2_past_double_range(tmp_path):
+    # required_samples leaves double range at t = 149 on number_operator(20), epsilon 0.001
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, "moment_table.py"), "20", "256",
+                           "0.001"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()[2:]] == \
+        [str(t) for t in range(1, 149)]
+
+
 def test_observable_tier_memory_does_not_grow_with_the_budget(tmp_path):
     # each chunk is reduced where it is drawn; an (M,) array of values at
     # M = 4e6 alone would be 31 MiB, and its t-th powers as much again
@@ -1347,9 +1373,10 @@ def test_observable_tier_bytes_equal_the_array_and_file_paths(tmp_path, workers)
         cfg.ensemble, natural_assignment(cfg.ensemble, cfg.spectrum), None, cfg.m_samples,
         workers=workers)
     for samples in (array, verify.load_samples(str(csv), cfg.spectrum)):
-        reports = [average_randomness(estimate_moment(samples, t), cfg.spectrum, cfg.epsilon,
-                                      provenance={"seed": cfg.ensemble.seed}).to_json_dict()
-                   for t in cfg.orders]
+        reports = [report.to_json_dict() for t in cfg.orders
+                   for report in average_randomness([estimate_moment(samples, t)], cfg.spectrum,
+                                                    cfg.epsilon,
+                                                    provenance={"seed": cfg.ensemble.seed})]
         assert json.dumps(reports, sort_keys=True) == tier
 
 

@@ -15,7 +15,8 @@ CLAIMS = {
     "hs.moment_bounds(s, 4)": (["5.0625", "40.5"], lambda b: (b.lower, b.upper) == (5.0625, 40.5)),
     "hs.required_samples(s, 1, epsilon=0.01)": (["225000"], lambda n: n == 225_000),
     "report.verdict": (["'compatible'"], lambda v: v == "compatible"),
-    "hs.average_randomness(estimate, s, epsilon=0.01) == report": (["True"], lambda v: v is True),
+    "hs.average_randomness(estimates, s, epsilon=0.01) == [report]": (["True"],
+                                                                      lambda v: v is True),
     "perm.verdict": (["'incompatible'"], lambda v: v == "incompatible"),
 }
 

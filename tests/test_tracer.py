@@ -45,9 +45,13 @@ def test_tracer_counts_every_layer_of_a_campaign(tmp_path, spans):
         assert cli.main(["moments", "--spectrum", str(spectrum_path), "--t", "1..3"]) == 0
 
     campaign, moments = tracer.counts[0], tracer.counts[1]
-    assert campaign["verify.reports"] == 4  # observable once per order, each extended tier once
-    for name in ("spectrum.assignments", "streams.calls", "haar_moments.exact_calls"):
+    assert campaign["verify.reports"] == 3  # each tier makes one call for all its orders
+    for name in ("spectrum.assignments", "streams.calls"):
         assert campaign[name] > 0, name
+    # every tier takes its moments from one exact_moments call, and CampaignConfig
+    # checks the orders with another: no campaign calls the one-order exact_moment
+    # that the tracer wraps
+    assert campaign["haar_moments.exact_calls"] == 0
     # the moments command takes every order from one exact_moments call, which
     # the tracer does not wrap yet: it sees none of the table's exact moments
     assert moments["haar_moments.exact_calls"] == 0

@@ -28,7 +28,9 @@ from haar_sentinel.verify import (
     average_randomness,
     classify,
     estimate_moment,
+    estimate_moments,
     mub_randomness,
+    observable_estimates,
     permutation_randomness,
 )
 from oracles import generate_probe_samples
@@ -128,7 +130,7 @@ def test_average_randomness_haar_oracle_compatible():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=404)
     samples = generate_expectation_samples(spec, expand(s), None, 100_000)
-    report = average_randomness(estimate_moment(samples, 1), s, epsilon=0.01)
+    [report] = average_randomness(estimate_moments(samples, [1]), s, epsilon=0.01)
     assert report.verdict == "compatible"
     assert report.mu_haar == pytest.approx(1.5, abs=1e-12)
     assert report.provenance["required_samples"] == 225_000
@@ -136,7 +138,7 @@ def test_average_randomness_haar_oracle_compatible():
 
 def test_average_randomness_degenerate_ensemble_incompatible():
     s = number_operator(3)
-    report = average_randomness(estimate_moment([0.0] * 10_000, 1), s, epsilon=0.5)
+    [report] = average_randomness(estimate_moments([0.0] * 10_000, [1]), s, epsilon=0.5)
     assert report.R == pytest.approx(-1.5)
     assert report.verdict == "incompatible"
 
@@ -147,7 +149,7 @@ def test_average_randomness_tiny_sample_has_huge_delta():
     s = number_operator(3)
     spec = EnsembleSpec(kind="haar", dimension=8, seed=9)
     samples = generate_expectation_samples(spec, expand(s), None, 2)
-    report = average_randomness(estimate_moment(samples, 1), s, epsilon=0.01)
+    [report] = average_randomness(estimate_moments(samples, [1]), s, epsilon=0.01)
     assert report.delta > 1.0
     assert report.verdict == "compatible"
 
@@ -155,24 +157,44 @@ def test_average_randomness_tiny_sample_has_huge_delta():
 def test_average_randomness_reports_exact_moment_without_slack():
     s = make_spectrum(tuple(range(1, 9)), (2,) * 8)
     samples = list(np.linspace(1.0, 8.0, 100))
-    report = average_randomness(estimate_moment(samples, 6), s, epsilon=0.5)
+    [report] = average_randomness(estimate_moments(samples, [6]), s, epsilon=0.5)
     assert "mu_method" not in report.provenance
     assert report.mu_haar == exact_moment(s, 6).value
     assert report.delta == sampling_error_bound(s, 6, 100)
 
 
 def test_permutation_identity_reduces_to_average_randomness():
-    # one permutation: the tier is the observable tier of the permuted observable
-    s = number_operator(3)
+    # one permutation: the tier is the observable tier of the permuted observable,
+    # also where the deviation's square (about 1e-366 at 2^-300 scale) underflows
     spec = EnsembleSpec(kind="haar", dimension=8, seed=99)
-    [rep_perm] = permutation_randomness(spec, s, [2], 1, 5_000, 0.05, seed=0)
     perm = Permutation(_protocol_rng(0, "permutation").permutation(8))
-    samples = generate_expectation_samples(spec, apply_permutation(expand(s), perm), None,
-                                           5_000, stream=(0, 0))
-    rep_obs = average_randomness(estimate_moment(samples, 2), s, epsilon=0.05)
-    assert rep_perm.R == rep_obs.R
-    assert rep_perm.delta == rep_obs.delta
-    assert rep_perm.verdict == rep_obs.verdict
+    for scale in (1.0, 2.0**-300):
+        s = make_spectrum(tuple(k * scale for k in range(4)), (1, 3, 3, 1))
+        [rep_perm] = permutation_randomness(spec, s, [2], 1, 5_000, 0.05, seed=0)
+        samples = generate_expectation_samples(spec, apply_permutation(expand(s), perm), None,
+                                               5_000, stream=(0, 0))
+        [rep_obs] = average_randomness(estimate_moments(samples, [2]), s, epsilon=0.05)
+        assert rep_perm.R == rep_obs.R != 0
+        assert rep_perm.delta == rep_obs.delta
+        assert rep_perm.verdict == rep_obs.verdict
+
+
+@pytest.mark.parametrize("eigenvalues, t, epsilon, verdict, least_r", [
+    ((0.0, 0.001), 60, 1e-190, "incompatible", 1e-181),  # squared deviations underflow to 0
+    ((0.0, 1e160), 1, 1e170, "inconclusive", 1e159),  # squared deviations overflow to inf
+])
+def test_tiers_agree_where_squared_deviations_leave_double_range(eigenvalues, t, epsilon,
+                                                                 verdict, least_r):
+    # |0> reads a constant per unit; every tier's R is a finite signed RMS of deviations
+    s = make_spectrum(eigenvalues, (1, 1))
+    spec = EnsembleSpec(kind="fixed_basis_state", dimension=2, seed=4, params={"basis_index": 0})
+    [obs] = average_randomness(observable_estimates(spec, s, [t], 2_000), s, epsilon)
+    [perm] = permutation_randomness(spec, s, [t], 4, 2_000, epsilon, seed=4)
+    [mub] = mub_randomness(spec, s, [t], 2, 4, 2_000, epsilon, seed=4)
+    for report in (obs, perm, mub):
+        assert np.isfinite(report.R) and report.verdict == verdict, report
+    for report in (perm, mub):
+        assert abs(report.R) > least_r, report
 
 
 @pytest.mark.parametrize("tier,node,m_u", [("permutation", (1,), 1), ("mub", (2,), 7)])
@@ -211,7 +233,8 @@ def test_permutation_tier_counterexample_incompatible():
     # same ensemble viewed through the unpermuted observable looks uniform
     a = natural_assignment(spec, s)
     samples = generate_expectation_samples(spec, a, None, 10_000)
-    assert average_randomness(estimate_moment(samples, 1), s, epsilon=0.01).verdict == "compatible"
+    [report] = average_randomness(estimate_moments(samples, [1]), s, epsilon=0.01)
+    assert report.verdict == "compatible"
 
 
 def test_permutation_dispersion_separates_haar_from_counterexample():
@@ -294,7 +317,8 @@ def test_report_json_schema():
     s = number_operator(2)
     spec = EnsembleSpec(kind="haar", dimension=4, seed=8)
     samples = generate_expectation_samples(spec, expand(s), None, 1_000)
-    d = average_randomness(estimate_moment(samples, 1), s, epsilon=0.1).to_json_dict()
+    [report] = average_randomness(estimate_moments(samples, [1]), s, epsilon=0.1)
+    d = report.to_json_dict()
     assert set(d) == {"tier", "t", "R", "delta", "epsilon", "mu_haar", "verdict", "provenance"}
     assert d["tier"] == "observable"
     assert d["verdict"] in ("compatible", "incompatible", "inconclusive")
