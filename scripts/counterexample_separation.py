@@ -11,7 +11,7 @@ Trial k samples the ensemble at seed 1000 + k; its permutation tier draws the
 permutations from campaign seed 5000 + k, exactly as a `verify` campaign with
 that seed would.  A trial misses its separation unless the observable tier is
 `compatible` and the permutation tier `incompatible`; the script exits 1 when
-any trial misses.
+any trial misses.  Bad arguments print "error: ..." on stderr and exit 2.
 
 Usage: python scripts/counterexample_separation.py [n] [M] [M_perm] [trials]
 """
@@ -34,6 +34,8 @@ def main(argv):
     m_perm = int(argv[3]) if len(argv) > 3 else 20
     trials = int(argv[4]) if len(argv) > 4 else 20
     epsilon = 0.01
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
     s = number_operator(n)
     print(f"n = {n} qubits, N = {2**n}, M = {m_samples}, M_perm = {m_perm}, "
@@ -62,4 +64,8 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        sys.exit(main(sys.argv))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

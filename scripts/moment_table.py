@@ -21,6 +21,8 @@ def main(argv):
     n = int(argv[1]) if len(argv) > 1 else 3
     t_max = int(argv[2]) if len(argv) > 2 else 6
     epsilon = float(argv[3]) if len(argv) > 3 else 0.01
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
 
     s = number_operator(n)
     print(f"{n}-qubit excitation counter: N = {s.dimension}, Tr O = {trace(s):g}, "

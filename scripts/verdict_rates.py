@@ -12,6 +12,7 @@ a temporary directory.
 Usage, from the root of a checkout: python scripts/verdict_rates.py [K] [workload_seed]
 (defaults: K = 150, workload_seed = 424242).  Exits 1 when any campaign
 fails, so a change to the streams cannot flip a benchmark verdict unseen.
+Bad arguments print "error: ..." on stderr and exit 2.
 """
 
 import os
@@ -28,6 +29,8 @@ from perfbench.workloads import VERIFY_CAMPAIGNS, campaign_seed  # noqa: E402
 def main(argv):
     k = int(argv[1]) if len(argv) > 1 else 150
     workload_seed = int(argv[2]) if len(argv) > 2 else 424242
+    if k < 1:
+        raise ValueError(f"campaign count K must be at least 1, got {k}")
     print(f"{k} campaigns per workload, workload seed {workload_seed}")
     any_failed = False
     with tempfile.TemporaryDirectory() as workdir:
@@ -48,4 +51,8 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        sys.exit(main(sys.argv))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

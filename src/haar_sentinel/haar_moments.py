@@ -36,8 +36,6 @@ from math import ceil, comb, exp, fsum, inf, isfinite, lgamma, log
 from operator import mul
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .spectrum import Spectrum
 
 LOG2 = log(2.0)
@@ -142,8 +140,8 @@ def _moment(s: Spectrum, t: int, scaling: Optional[tuple[int, float]],
 
 def _complete_sums(s: Spectrum, shift: int, top: int) -> list[float]:
     """h_0 .. h_top of the eigenvalues divided by lambda_max and by 2^shift."""
-    scaled = np.asarray(s.eigenvalues, dtype=float) / s.max_eigenvalue * 2.0**-shift
-    weighted = np.asarray(s.multiplicities, dtype=float) / 2.0
+    scaled = s.eigenvalues / s.max_eigenvalue * 2.0**-shift
+    weighted = s.multiplicities / 2.0
     power_sums = []  # p_1 .. p_top
     for _ in range(top):
         weighted = weighted * scaled

@@ -1,15 +1,16 @@
 """Observables as spectra: eigenvalues, multiplicities, and eigenbasis layouts.
 
 Everything downstream (moments, thresholds, sampling) depends on an observable
-only through its spectrum (distinct eigenvalues with multiplicities) and,
-where basis-state bookkeeping matters, through a length-N eigenvalue
-assignment.  Full matrices are never stored.
+only through its spectrum and, where basis-state bookkeeping matters, through
+a length-N eigenvalue assignment.  Full matrices are never stored: Spectrum,
+EigenAssignment and Permutation each hold read-only NumPy arrays, stored by
+copy, checked with vector operations, compared by value and unhashable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, fsum
+from math import comb, fsum, inf
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -61,64 +62,77 @@ def require_str(value, name: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _finite_non_negative(values, what: str) -> np.ndarray:
+    """values as a read-only float64 copy; ValueError names a non-finite or negative entry."""
+    v = np.array(values, dtype=np.float64)
+    if v.size and not 0 <= v.min() <= v.max() < inf:  # a NaN fails every comparison
+        bad = ~(np.isfinite(v) & (v >= 0))
+        raise ValueError(f"{what} {v[bad][0]} is not a finite non-negative real")
+    return _read_only(v)
+
+
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Distinct non-negative eigenvalues with multiplicities, sorted ascending.
 
-    ``eigenvalues[i]`` occurs ``multiplicities[i]`` times; ``dimension`` is the
-    total Hilbert-space dimension; ``mean`` is Tr O / N, the mean expectation
-    value of a uniformly random state.
+    ``eigenvalues[i]`` (read-only float64 array) occurs ``multiplicities[i]``
+    (read-only int64 array) times.  The fields derived once are Python numbers:
+    the dimension N, ``mean`` = Tr O / N (the mean expectation value of a
+    uniformly random state), the largest eigenvalue and the least multiplicity.
     """
 
-    eigenvalues: tuple[float, ...]
-    multiplicities: tuple[int, ...]
+    eigenvalues: np.ndarray
+    multiplicities: np.ndarray
     dimension: int = field(init=False)
     mean: float = field(init=False)
+    max_eigenvalue: float = field(init=False)
+    min_multiplicity: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.eigenvalues) == 0:
-            raise ValueError("spectrum needs at least one eigenvalue")
-        if len(self.eigenvalues) != len(self.multiplicities):
-            raise ValueError(
-                f"{len(self.eigenvalues)} eigenvalues vs "
-                f"{len(self.multiplicities)} multiplicities"
-            )
-        for lam in self.eigenvalues:
-            if not np.isfinite(lam) or lam < 0:
-                raise ValueError(f"eigenvalues: {lam} is not a finite non-negative real")
-        if len(set(self.eigenvalues)) != len(self.eigenvalues):
-            raise ValueError("duplicate eigenvalue in spectrum")
-        multiplicities = tuple(require_int(m, "multiplicities") for m in self.multiplicities)
-        for m in multiplicities:
-            if m < 1:
-                raise ValueError(f"multiplicities: {m} is not a positive integer")
-        if any(self.eigenvalues[i] > self.eigenvalues[i + 1]
-               for i in range(len(self.eigenvalues) - 1)):
-            raise ValueError("eigenvalues must be sorted ascending (use make_spectrum)")
-        n = sum(multiplicities)
+        lam, m = np.asarray(self.eigenvalues), np.asarray(self.multiplicities)
+        if lam.ndim != 1 or lam.size == 0 or lam.shape != m.shape:
+            raise ValueError(f"spectrum needs one multiplicity per eigenvalue and at least one "
+                             f"eigenvalue, got {lam.size} eigenvalues, {m.size} multiplicities")
+        if lam.dtype.kind not in "iuf":
+            raise ValueError("eigenvalues: expected real numbers")
+        python_bools = m is not self.multiplicities and bool in map(type, self.multiplicities)
+        if m.dtype.kind not in "iu" or python_bools:  # NumPy would read True as 1
+            raise ValueError("multiplicities: expected integers (not bools) below 2**63")
+        least = int(m.min())
+        if least < 1:
+            raise ValueError(f"multiplicities: {least} is not a positive integer")
+        n = int(m.sum(dtype=np.float64))  # a float sum cannot wrap around
         if n > MAX_DIMENSION:
             raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIMENSION}")
-        object.__setattr__(self, "multiplicities", multiplicities)
+        lam = _finite_non_negative(lam, "eigenvalues:")
+        if not (lam[1:] > lam[:-1]).all():
+            raise ValueError("eigenvalues must be distinct and ascending (make_spectrum sorts)")
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "multiplicities", _read_only(m.astype(np.int64)))
         object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "mean", trace(self) / n)
+        object.__setattr__(self, "max_eigenvalue", float(lam[-1]))
+        object.__setattr__(self, "min_multiplicity", least)
+
+    def __eq__(self, other):
+        return (isinstance(other, Spectrum)
+                and np.array_equal(self.eigenvalues, other.eigenvalues)
+                and np.array_equal(self.multiplicities, other.multiplicities))
 
     @property
     def levels(self) -> int:
         """Number of distinct eigenvalues."""
-        return len(self.eigenvalues)
-
-    @property
-    def min_multiplicity(self) -> int:
-        return min(self.multiplicities)
-
-    @property
-    def max_eigenvalue(self) -> float:
-        return self.eigenvalues[-1]
+        return self.eigenvalues.size
 
     def to_json_dict(self) -> dict:
         return {
-            "eigenvalues": list(self.eigenvalues),
-            "multiplicities": list(self.multiplicities),
+            "eigenvalues": self.eigenvalues.tolist(),
+            "multiplicities": self.multiplicities.tolist(),
         }
 
     @staticmethod
@@ -138,14 +152,10 @@ class EigenAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        v = _finite_non_negative(self.values, "assignment value")
         if v.ndim != 1 or not 0 < v.size <= MAX_DIMENSION:
             raise ValueError(f"assignment must be a non-empty 1-D array of at most "
                              f"{MAX_DIMENSION} values")
-        bad = ~(np.isfinite(v) & (v >= 0))
-        if bad.any():
-            raise ValueError(f"assignment value {v[bad.argmax()]} is not a finite non-negative real")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def __eq__(self, other):
@@ -160,8 +170,7 @@ class EigenAssignment:
 
     def collapse(self) -> Spectrum:
         """Recover the Spectrum whose expansion has this multiset of values."""
-        distinct, counts = np.unique(self.values, return_counts=True)
-        return make_spectrum(distinct.tolist(), counts.tolist())
+        return Spectrum(*np.unique(self.values, return_counts=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +190,7 @@ class Permutation:
         if bad.any():
             raise ValueError(f"mapping entry {m[bad.argmax()]} is out of range or repeated: "
                              "mapping is not a bijection on 0..N-1")
-        m.setflags(write=False)
-        object.__setattr__(self, "mapping", m)
+        object.__setattr__(self, "mapping", _read_only(m))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.mapping, other.mapping)
@@ -197,20 +205,18 @@ class Permutation:
 
 
 def make_spectrum(eigenvalues: Sequence[float], multiplicities: Sequence[int]) -> Spectrum:
-    """Validate and canonicalize (ascending eigenvalue order) a spectrum."""
+    """A spectrum from outside input: each entry checked, then sorted by eigenvalue."""
     if len(eigenvalues) != len(multiplicities):
         raise ValueError("eigenvalues and multiplicities must have equal length")
-    pairs = sorted(zip((require_real(v, "eigenvalues") for v in eigenvalues),
-                       (require_int(m, "multiplicities") for m in multiplicities)))
-    return Spectrum(
-        eigenvalues=tuple(p[0] for p in pairs),
-        multiplicities=tuple(p[1] for p in pairs),
-    )
+    lam = np.array([require_real(v, "eigenvalues") for v in eigenvalues])
+    counts = np.array([require_int(m, "multiplicities") for m in multiplicities])
+    order = np.argsort(lam)
+    return Spectrum(lam[order], counts[order])
 
 
 def trace(s: Spectrum) -> float:
     """Trace of the observable: sum of eigenvalues weighted by multiplicity."""
-    return fsum(lam * m for lam, m in zip(s.eigenvalues, s.multiplicities))
+    return fsum(s.eigenvalues * s.multiplicities)
 
 
 def number_operator(n: int) -> Spectrum:
@@ -221,10 +227,7 @@ def number_operator(n: int) -> Spectrum:
     """
     if not 1 <= n <= 20:
         raise ValueError(f"qubit count {n} outside supported range 1..20")
-    return make_spectrum(
-        [float(k) for k in range(n + 1)],
-        [comb(n, k) for k in range(n + 1)],
-    )
+    return Spectrum(np.arange(n + 1.0), np.array([comb(n, k) for k in range(n + 1)]))
 
 
 def number_operator_assignment(n: int) -> EigenAssignment:

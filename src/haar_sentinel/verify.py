@@ -133,8 +133,8 @@ def load_samples(path: str, s: Spectrum) -> np.ndarray:
     [lambda_min, lambda_max], up to a relative rounding slack of
     SAMPLE_RANGE_RTOL of the largest eigenvalue.
     """
-    slack = SAMPLE_RANGE_RTOL * s.eigenvalues[-1]
-    low, high = s.eigenvalues[0] - slack, s.eigenvalues[-1] + slack
+    slack = SAMPLE_RANGE_RTOL * s.max_eigenvalue
+    low, high = float(s.eigenvalues[0]) - slack, s.max_eigenvalue + slack
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -149,7 +149,7 @@ def load_samples(path: str, s: Spectrum) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: sample {line!r} is not finite")
             if not low <= value <= high:
                 raise ValueError(f"{path}:{lineno}: sample {line!r} lies outside the spectrum's "
-                                 f"range [{s.eigenvalues[0]!r}, {s.eigenvalues[-1]!r}]")
+                                 f"range [{float(s.eigenvalues[0])!r}, {s.max_eigenvalue!r}]")
             values.append(value)
     if not values:
         raise ValueError(f"no samples in {path}")

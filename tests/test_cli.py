@@ -615,7 +615,8 @@ def test_samples_file_outside_the_spectrum_range_is_bad_input(tmp_path, capsys):
     csv = tmp_path / "samples.csv"
     # 1 + 1e-13 is rounding of a value at lambda_max and loads; 1e160 does not
     csv.write_text("sample\n0.5\n1.0000000000001\n1e160\n0.25\n")
-    with pytest.raises(ValueError, match=r"samples\.csv:4: sample '1e160' lies outside"):
+    with pytest.raises(ValueError, match=r"samples\.csv:4: sample '1e160' lies outside the "
+                                         r"spectrum's range \[0\.0, 1\.0\]$"):
         load_samples(str(csv), number_operator(1))
     cfg = write_json(tmp_path, "c.json", {
         "spectrum": QUBIT,
@@ -1331,6 +1332,24 @@ def test_moment_table_script_exits_2_past_double_range(tmp_path):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
     assert [line.split()[0] for line in done.stdout.splitlines()[2:]] == \
         [str(t) for t in range(1, 149)]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("counterexample_separation.py", ["0"]),
+    ("counterexample_separation.py", ["21", "10", "1", "1"]),
+    ("counterexample_separation.py", ["4", "1", "4", "2"]),  # need at least two samples
+    ("counterexample_separation.py", ["3", "200", "2", "0"]),  # no trials
+    ("verdict_rates.py", ["x"]),
+    ("verdict_rates.py", ["0"]),  # no campaigns
+    ("moment_table.py", ["3", "0"]),  # no orders
+])
+def test_experiment_scripts_exit_2_on_bad_arguments(tmp_path, script, args):
+    # exit 1 stays the scripts' "a trial or campaign missed" code
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 def test_observable_tier_memory_does_not_grow_with_the_budget(tmp_path):

@@ -50,8 +50,8 @@ def rational_moment(s, t):
     Every eigenvalue is a double, hence exactly a Fraction; the gamma ratios
     are rising factorials of half-integers.
     """
-    lams = [Fraction(lam) for lam in s.eigenvalues]
-    halves = [Fraction(m, 2) for m in s.multiplicities]
+    lams = [Fraction(lam) for lam in s.eigenvalues.tolist()]
+    halves = [Fraction(m, 2) for m in s.multiplicities.tolist()]
     total = Fraction(0)
     for k in brute_force_compositions(t, s.levels, (True,) * s.levels):
         term = Fraction(factorial(t))

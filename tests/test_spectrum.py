@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from haar_sentinel.spectrum import (
     EigenAssignment,
     Permutation,
+    Spectrum,
     apply_permutation,
     expand,
     make_spectrum,
@@ -43,15 +44,15 @@ def test_make_spectrum_smallest_qubit_observable():
 def test_number_operator_matches_brute_force_eigendecomposition():
     lams, mults = brute_force_number_operator(3)
     s = number_operator(3)
-    assert s.eigenvalues == lams == (0.0, 1.0, 2.0, 3.0)
-    assert s.multiplicities == mults == (1, 3, 3, 1)
+    assert s.eigenvalues.tolist() == list(lams) == [0.0, 1.0, 2.0, 3.0]
+    assert s.multiplicities.tolist() == list(mults) == [1, 3, 3, 1]
     assert s.dimension == 8
 
 
 def test_number_operator_binomial_multiplicities():
-    assert number_operator(1).eigenvalues == (0.0, 1.0)
-    assert number_operator(1).multiplicities == (1, 1)
-    assert number_operator(2).multiplicities == (1, 2, 1)
+    assert number_operator(1).eigenvalues.tolist() == [0.0, 1.0]
+    assert number_operator(1).multiplicities.tolist() == [1, 1]
+    assert number_operator(2).multiplicities.tolist() == [1, 2, 1]
     with pytest.raises(ValueError):
         number_operator(0)
     with pytest.raises(ValueError):
@@ -64,23 +65,35 @@ def test_number_operator_assignment_is_popcount():
     assert a.collapse() == number_operator(3)
 
 
-def test_make_spectrum_rejects_bad_input():
+@pytest.mark.parametrize("construct", [Spectrum, make_spectrum])
+@pytest.mark.parametrize("eigenvalues, multiplicities", [
+    pytest.param([0.0, float("nan")], [1, 1], id="nan"),
+    pytest.param([0.0, float("inf")], [1, 1], id="inf"),
+    pytest.param([-1.0, 0.0], [1, 1], id="negative"),
+    pytest.param([1.0, 1.0], [2, 2], id="duplicate"),
+    pytest.param([0.0, 1.0], [0, 1], id="multiplicity 0"),
+    pytest.param([0.0, 1.0], [-1, 1], id="multiplicity -1"),
+    pytest.param([0.0, 1.0], [1.5, 1], id="multiplicity 1.5"),
+    pytest.param([0.0, 1.0], [True, True], id="bool multiplicities"),
+    pytest.param([0.0, 1.0, 2.0], [2, True, 3], id="True among ints"),
+    pytest.param([0.0, 1.0], [1], id="length mismatch"),
+    pytest.param([], [], id="empty"),
+    pytest.param([0.0, 1.0], [2**19, 2**19 + 1], id="dimension above 2^20"),
+    pytest.param([0.0, 1.0], [2**62, 2**62], id="dimension past int64"),  # an int64 sum wraps
+    pytest.param(["0", 1.0], [1, 1], id="string eigenvalue"),
+    pytest.param([None, 1.0], [1, 1], id="None eigenvalue"),
+])
+def test_both_constructors_refuse_bad_spectra(construct, eigenvalues, multiplicities):
     with pytest.raises(ValueError):
-        make_spectrum((1, 1), (2, 2))  # duplicate eigenvalue
-    with pytest.raises(ValueError):
-        make_spectrum((-1, 0), (1, 1))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        make_spectrum((0, 1), (0, 1))  # non-positive multiplicity
-    with pytest.raises(ValueError):
-        make_spectrum((), ())  # empty
-    with pytest.raises(ValueError):
-        make_spectrum((0, 1), (1,))  # length mismatch
+        construct(eigenvalues, multiplicities)
 
 
 def test_make_spectrum_sorts_ascending():
     s = make_spectrum((3, 0, 1), (2, 1, 4))
-    assert s.eigenvalues == (0.0, 1.0, 3.0)
-    assert s.multiplicities == (1, 4, 2)
+    assert s.eigenvalues.tolist() == [0.0, 1.0, 3.0]
+    assert s.multiplicities.tolist() == [1, 4, 2]
+    assert s == make_spectrum([1, 3, 0], [4, 2, 1]) == Spectrum([0.0, 1.0, 3.0], [1, 4, 2])
+    assert s != make_spectrum((3, 0, 1), (2, 1, 5))
 
 
 def test_trace_examples():
@@ -153,11 +166,21 @@ def test_assignment_and_permutation_are_read_only_arrays():
         a.values[0] = 5.0
     with pytest.raises(ValueError):
         p.mapping[0] = 1
+    s = make_spectrum((0, 1), (1, 3))
+    assert s.eigenvalues.dtype == np.float64 and s.multiplicities.dtype == np.int64
+    with pytest.raises(ValueError):
+        s.eigenvalues[0] = 5.0
+    with pytest.raises(ValueError):
+        s.multiplicities[0] = 2
     # stored by copy: the caller's array stays theirs
     source = np.array([1.0, 2.0])
     b = EigenAssignment(source)
     source[0] = 9.0
     assert b.values.tolist() == [1.0, 2.0]
+    source = np.array([1.0, 2.0])
+    s = Spectrum(source, np.array([1, 1]))
+    source[0] = 0.5
+    assert s.eigenvalues.tolist() == [1.0, 2.0] and source.flags.writeable
 
 
 def test_assignment_and_permutation_compare_by_value_and_are_unhashable():
@@ -171,6 +194,8 @@ def test_assignment_and_permutation_compare_by_value_and_are_unhashable():
         hash(EigenAssignment((0.0,)))
     with pytest.raises(TypeError):
         hash(Permutation.identity(2))
+    with pytest.raises(TypeError):
+        hash(number_operator(2))
 
 
 def test_validation_names_the_first_bad_value():
